@@ -7,9 +7,14 @@
 type vector = (int * float) array
 (** Sparse: (dimension, value), sorted by dimension, no duplicates. *)
 
-val distance2 : vector -> float array -> float
-(** Squared Euclidean distance between a sparse vector and a dense
-    centroid. *)
+val norm2 : float array -> float
+(** Squared norm of a dense centroid, summed in index order. *)
+
+val distance2_with : norm2:float -> vector -> float array -> float
+(** [distance2_with ~norm2:(norm2 c) v c] is the squared Euclidean
+    distance between the sparse vector [v] and the dense centroid [c],
+    in time linear in [v]'s nonzeros: {!cluster} computes each
+    centroid's norm once, when the centroid is set. *)
 
 type clustering = {
   k : int;

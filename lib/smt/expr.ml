@@ -385,25 +385,34 @@ let reads e =
   go e;
   List.sort Int.compare (Hashtbl.fold (fun k () l -> k :: l) acc [])
 
+(* Expressions whose tree size is at most this are evaluated by a plain
+   recursive walk: its cost is bounded by [nodes], which callers already
+   charge, and it allocates no memo table. Larger ones memoise shared
+   subterms, so a DAG whose tree unfolding is exponential stays linear. *)
+let walk_bound = 256
+
 let eval lookup e =
-  let memo = Hashtbl.create 64 in
+  let memo = if e.nodes <= walk_bound then None else Some (Hashtbl.create 64) in
   let rec go e =
     match e.node with
     | Const c -> c
     | Read i -> Int64.of_int (lookup i land 0xFF)
     | Bin _ | Un _ | Ite _ -> (
-      match Hashtbl.find_opt memo e.id with
-      | Some v -> v
-      | None ->
-        let v =
-          match e.node with
-          | Bin (op, a, b) -> Semantics.binop op (go a) (go b)
-          | Un (op, a) -> Semantics.unop op (go a)
-          | Ite (c, t, e') -> if Semantics.truthy (go c) then go t else go e'
-          | Const _ | Read _ -> assert false
-        in
-        Hashtbl.add memo e.id v;
-        v)
+      match memo with
+      | None -> step e
+      | Some memo -> (
+        match Hashtbl.find_opt memo e.id with
+        | Some v -> v
+        | None ->
+          let v = step e in
+          Hashtbl.add memo e.id v;
+          v))
+  and step e =
+    match e.node with
+    | Bin (op, a, b) -> Semantics.binop op (go a) (go b)
+    | Un (op, a) -> Semantics.unop op (go a)
+    | Ite (c, t, e') -> if Semantics.truthy (go c) then go t else go e'
+    | Const _ | Read _ -> assert false
   in
   go e
 

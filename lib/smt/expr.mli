@@ -57,9 +57,19 @@ val hash : t -> int
 val reads : t -> int list
 (** Sorted, distinct input-byte indices mentioned. *)
 
+val walk_bound : int
+(** Largest [nodes] evaluated by a plain tree walk; above it {!eval} and
+    {!Interval.eval} memoise shared subterms. *)
+
 val eval : (int -> int) -> t -> int64
 (** [eval lookup e] evaluates under the byte assignment [lookup]
-    (values are masked to [0, 255]). *)
+    (values are masked to [0, 255]). Trees of at most {!walk_bound}
+    nodes are walked directly, with no memo table; larger ones memoise
+    shared subterms, so a DAG never costs more than its distinct nodes.
+    The strategy is invisible to the solver's budget: callers charge
+    work units by [nodes] whichever path runs, so the wall time per work
+    unit is a property of this implementation (tracked as
+    [smt.ns_per_work], perfbench/README.md). *)
 
 val to_string : t -> string
 

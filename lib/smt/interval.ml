@@ -138,7 +138,8 @@ let unop op a =
   | Trunc32 -> if ucmp a.hi 0xFFFFFFFFL <= 0 then a else { lo = 0L; hi = 0xFFFFFFFFL }
 
 let eval lookup e =
-  let memo = Hashtbl.create 64 in
+  (* same strategy as [Expr.eval]: walk small trees, memoise large ones *)
+  let memo = if e.Expr.nodes <= Expr.walk_bound then None else Some (Hashtbl.create 64) in
   let rec go (e : Expr.t) =
     match e.node with
     | Expr.Const c -> point c
@@ -146,28 +147,30 @@ let eval lookup e =
       let iv = lookup i in
       if ucmp iv.hi 255L > 0 then byte_any else iv
     | Expr.Bin _ | Expr.Un _ | Expr.Ite _ -> (
-      match Hashtbl.find_opt memo e.id with
-      | Some v -> v
-      | None ->
-        let v =
-          match e.node with
-          | Expr.Bin (Pbse_ir.Types.Or, x, y)
-            when Int64.logand x.Expr.bits y.Expr.bits = 0L ->
-            (* disjoint possible bits: or is addition, which the interval
-               arithmetic tracks exactly — crucial for multi-byte field
-               reads composed as (b0 | b1 << 8 | ...) *)
-            binop Pbse_ir.Types.Add (go x) (go y)
-          | Expr.Bin (op, x, y) -> binop op (go x) (go y)
-          | Expr.Un (op, x) -> unop op (go x)
-          | Expr.Ite (c, t, f) ->
-            let ci = go c in
-            if definitely_true ci then go t
-            else if definitely_false ci then go f
-            else hull (go t) (go f)
-          | Expr.Const _ | Expr.Read _ -> assert false
-        in
-        Hashtbl.add memo e.id v;
-        v)
+      match memo with
+      | None -> step e
+      | Some memo -> (
+        match Hashtbl.find_opt memo e.id with
+        | Some v -> v
+        | None ->
+          let v = step e in
+          Hashtbl.add memo e.id v;
+          v))
+  and step (e : Expr.t) =
+    match e.node with
+    | Expr.Bin (Pbse_ir.Types.Or, x, y) when Int64.logand x.Expr.bits y.Expr.bits = 0L ->
+      (* disjoint possible bits: or is addition, which the interval
+         arithmetic tracks exactly — crucial for multi-byte field
+         reads composed as (b0 | b1 << 8 | ...) *)
+      binop Pbse_ir.Types.Add (go x) (go y)
+    | Expr.Bin (op, x, y) -> binop op (go x) (go y)
+    | Expr.Un (op, x) -> unop op (go x)
+    | Expr.Ite (c, t, f) ->
+      let ci = go c in
+      if definitely_true ci then go t
+      else if definitely_false ci then go f
+      else hull (go t) (go f)
+    | Expr.Const _ | Expr.Read _ -> assert false
   in
   go e
 

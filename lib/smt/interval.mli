@@ -35,7 +35,10 @@ val binop : Pbse_ir.Types.binop -> t -> t -> t
 val unop : Pbse_ir.Types.unop -> t -> t
 
 val eval : (int -> t) -> Expr.t -> t
-(** [eval lookup e] where [lookup i] bounds input byte [i]; results are
-    memoised across shared subexpressions within the call. *)
+(** [eval lookup e] where [lookup i] bounds input byte [i]. Like
+    {!Expr.eval}, trees of at most {!Expr.walk_bound} nodes are walked
+    directly and larger ones memoise shared subexpressions within the
+    call; both paths return the same interval. Work units are charged by
+    the caller from [Expr.nodes], whatever the strategy. *)
 
 val to_string : t -> string

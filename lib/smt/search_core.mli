@@ -18,7 +18,8 @@ val spend : meter -> int -> unit
 
 type group
 (** A set of constraints over the input bytes they mention, indexed for
-    propagation ([by_var], [creads]). *)
+    propagation: byte positions in dense arrays, so the search looks
+    nothing up in a hash table. *)
 
 val build_group : reads:(Expr.t -> int list) -> Expr.t list -> group
 

@@ -7,6 +7,19 @@
 let cache_key exprs =
   List.sort Int.compare (List.map (fun (e : Expr.t) -> e.id) exprs)
 
+(* Keys share their smallest ids whenever queries share a path prefix,
+   and the polymorphic [Hashtbl.hash] reads only a list's first cells:
+   fold every id in, then fold the high bits down to the bucket bits. *)
+module Key_table = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+
+  let hash key =
+    let h = List.fold_left (fun h id -> (h lxor id) * 0x100000001b3) 0x811c9dc5 key in
+    (h lxor (h lsr 29)) land max_int
+end)
+
 (* Split constant constraints out; [Error ()] means a constant 0 (the
    conjunction is trivially unsatisfiable). *)
 let partition_constants exprs =

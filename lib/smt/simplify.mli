@@ -5,6 +5,11 @@ val cache_key : Expr.t list -> int list
 (** Sorted hash-consed ids of a conjunction — the canonical cache /
     retry key (permutation-insensitive). *)
 
+module Key_table : Hashtbl.S with type key = int list
+(** Tables keyed on {!cache_key}s, hashing every id of a key (the
+    polymorphic hash reads only a list's first few cells, so keys
+    sharing their smallest ids would share a bucket). *)
+
 val partition_constants : Expr.t list -> (Expr.t list, unit) result
 (** Drop constant-true constraints; [Error ()] on a constant-false one
     (the conjunction is trivially unsatisfiable). Order is preserved. *)

@@ -1,4 +1,5 @@
 module Telemetry = Pbse_telemetry.Telemetry
+module Key_table = Simplify.Key_table
 
 type result =
   | Sat of Model.t
@@ -27,9 +28,9 @@ type t = {
   budget : int;
   retry_cap : int;
   st : stats;
-  cache : (int list, Search_core.group_result) Hashtbl.t;
+  cache : Search_core.group_result Key_table.t;
   reads_memo : (int, int list) Hashtbl.t; (* expr id -> sorted input indices *)
-  retryable : (int list, int) Hashtbl.t; (* query key -> budget it failed at *)
+  retryable : int Key_table.t; (* query key -> budget it failed at *)
   prefixes : Prefix_ctx.t;
   (* registry instruments (docs/telemetry.md); mutation is gated on the
      owning registry's enabled flag, so uninstrumented runs pay one
@@ -71,9 +72,9 @@ let create ?(budget = 60_000) ?retry_cap ?prefix_cap ?registry () =
         retry_resolved = 0;
         prefix_evictions = 0;
       };
-    cache = Hashtbl.create 4096;
+    cache = Key_table.create 4096;
     reads_memo = Hashtbl.create 4096;
-    retryable = Hashtbl.create 256;
+    retryable = Key_table.create 256;
     prefixes = Prefix_ctx.create ?cap:prefix_cap ();
     tm_query_work = Telemetry.Registry.histogram registry "solver.query_work";
     tm_retry_budget = Telemetry.Registry.histogram registry "solver.retry_budget";
@@ -87,9 +88,9 @@ let stats t = t.st
 let retry_cap t = t.retry_cap
 
 let clear_cache t =
-  Hashtbl.reset t.cache;
+  Key_table.reset t.cache;
   Hashtbl.reset t.reads_memo;
-  Hashtbl.reset t.retryable;
+  Key_table.reset t.retryable;
   Prefix_ctx.clear t.prefixes
 
 let reads_of t (e : Expr.t) =
@@ -113,7 +114,7 @@ let solve_groups t meter ~hint ~focus ~bounds ?on_unsat_core groups =
     if (not !unsat) && not !unknown then begin
       let key = Simplify.cache_key exprs in
       let outcome =
-        match Hashtbl.find_opt t.cache key with
+        match Key_table.find_opt t.cache key with
         | Some r ->
           t.st.cache_hits <- t.st.cache_hits + 1;
           r
@@ -129,8 +130,8 @@ let solve_groups t meter ~hint ~focus ~bounds ?on_unsat_core groups =
           (* only definitive answers are budget-independent *)
           (match r with
            | Search_core.Gsat _ | Search_core.Gunsat ->
-             if Hashtbl.length t.cache > 200_000 then Hashtbl.reset t.cache;
-             Hashtbl.replace t.cache key r
+             if Key_table.length t.cache > 200_000 then Key_table.reset t.cache;
+             Key_table.replace t.cache key r
            | Search_core.Gunknown -> ());
           r
       in
@@ -161,12 +162,12 @@ let with_meter t ?retry_key body =
   t.st.queries <- t.st.queries + 1;
   let key = lazy (match retry_key with Some f -> Some (f ()) | None -> None) in
   let limit =
-    if Hashtbl.length t.retryable = 0 then t.budget
+    if Key_table.length t.retryable = 0 then t.budget
     else
       match Lazy.force key with
       | None -> t.budget
       | Some k -> (
-        match Hashtbl.find_opt t.retryable k with
+        match Key_table.find_opt t.retryable k with
         | None -> t.budget
         | Some prev ->
           t.st.retries <- t.st.retries + 1;
@@ -190,14 +191,14 @@ let with_meter t ?retry_key body =
    | Unknown -> (
      match Lazy.force key with
      | Some k ->
-       if Hashtbl.length t.retryable > 65_536 then Hashtbl.reset t.retryable;
-       Hashtbl.replace t.retryable k limit
+       if Key_table.length t.retryable > 65_536 then Key_table.reset t.retryable;
+       Key_table.replace t.retryable k limit
      | None -> ())
    | Sat _ | Unsat ->
-     if Hashtbl.length t.retryable > 0 then (
+     if Key_table.length t.retryable > 0 then (
        match Lazy.force key with
-       | Some k when Hashtbl.mem t.retryable k ->
-         Hashtbl.remove t.retryable k;
+       | Some k when Key_table.mem t.retryable k ->
+         Key_table.remove t.retryable k;
          t.st.retry_resolved <- t.st.retry_resolved + 1
        | Some _ | None -> ()));
   t.st.work <- t.st.work + meter.Search_core.spent;

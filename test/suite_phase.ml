@@ -49,6 +49,42 @@ let prop_kmeans_assignment_in_range =
       let c = Kmeans.cluster (Rng.create seed) ~k ~dim:5 vectors in
       Array.for_all (fun a -> a >= 0 && a < k) c.Kmeans.assignment)
 
+(* The pre-caching formula: |c|^2 folded over the whole centroid. *)
+let uncached_distance2 v centroid =
+  let c2 = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 centroid in
+  Array.fold_left
+    (fun acc (dim, x) ->
+      let c = centroid.(dim) in
+      let d = x -. c in
+      acc +. (d *. d) -. (c *. c))
+    c2 v
+
+let prop_kmeans_cached_norm_bit_identical =
+  let gen =
+    let open QCheck.Gen in
+    let value =
+      oneof
+        [
+          map (fun n -> float_of_int n /. 7.0) (int_range 0 700);
+          float_bound_inclusive 3.0;
+        ]
+    in
+    let* dim = int_range 1 64 in
+    let* centroid = array_size (return dim) value in
+    let+ entries = list_size (int_range 0 dim) (pair (int_range 0 (dim - 1)) value) in
+    let v =
+      List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) entries |> Array.of_list
+    in
+    (v, centroid)
+  in
+  QCheck.Test.make ~count:1000 ~name:"kmeans cached-norm distance is bit-identical"
+    (QCheck.make gen)
+    (fun (v, centroid) ->
+      Int64.equal
+        (Int64.bits_of_float (uncached_distance2 v centroid))
+        (Int64.bits_of_float
+           (Kmeans.distance2_with ~norm2:(Kmeans.norm2 centroid) v centroid)))
+
 (* --- phase division --------------------------------------------------------- *)
 
 (* Craft BBVs imitating two regimes: intervals 0..9 dominated by block 1
@@ -162,4 +198,5 @@ let suite =
     Alcotest.test_case "coverage mode finds more traps" `Quick
       test_coverage_mode_at_least_as_many_traps;
     QCheck_alcotest.to_alcotest prop_kmeans_assignment_in_range;
+    QCheck_alcotest.to_alcotest prop_kmeans_cached_norm_bit_identical;
   ]

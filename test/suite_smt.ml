@@ -111,6 +111,128 @@ let prop_bits_sound =
       let v = Expr.eval (fun i -> bytes.(i)) e in
       Int64.logand v (Int64.lognot e.Expr.bits) = 0L)
 
+(* DAG-heavy terms: every step combines earlier entries of a pool, so
+   subterms are shared and the tree outgrows the DAG. A step's tree is
+   at most one node plus three of the largest entry, so up to four steps
+   over leaves stay within 121 nodes, under [Expr.walk_bound]; [above]
+   takes more steps and then keeps doubling until the tree is past the
+   bound, so the evaluators' memo path runs. *)
+type dag_step =
+  | Dbin of T.binop * int * int
+  | Dun of T.unop * int
+  | Dite of int * int * int
+
+let gen_dag_term ~above nvars =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        map (fun c -> Sconst c) (oneofl [ 0L; 1L; 3L; 0xFFL; 0x100L; -1L; 7L ]);
+        map (fun i -> Sread i) (int_range 0 (nvars - 1));
+      ]
+  in
+  let step =
+    frequency
+      [
+        (6, map3 (fun op i j -> Dbin (op, i, j)) (oneofl all_binops) nat nat);
+        (1, map2 (fun op i -> Dun (op, i)) (oneofl all_unops) nat);
+        (2, map3 (fun c t e -> Dite (c, t, e)) nat nat nat);
+      ]
+  in
+  let* leaves = list_size (int_range 2 4) leaf in
+  let+ steps = list_size (if above then int_range 4 7 else int_range 1 4) step in
+  let pool = ref (Array.of_list leaves) in
+  List.iter
+    (fun st ->
+      let p = !pool in
+      let at i = p.(i mod Array.length p) in
+      let next =
+        match st with
+        | Dbin (op, i, j) -> Sbin (op, at i, at j)
+        | Dun (op, i) -> Sun (op, at i)
+        | Dite (c, t, e) -> Site (at c, at t, at e)
+      in
+      pool := Array.append p [| next |])
+    steps;
+  let top = ref !pool.(Array.length !pool - 1) in
+  if above then
+    while (build !top).Expr.nodes <= Expr.walk_bound do
+      top := Sbin (T.Add, Sbin (T.Mul, !top, Sread 0), Sbin (T.Xor, !top, Sread 1))
+    done;
+  !top
+
+let arb_dag_and_bytes ~above =
+  QCheck.make QCheck.Gen.(pair (gen_dag_term ~above 3) (gen_bytes 3))
+
+let prop_dag_eval above =
+  QCheck.Test.make ~count:500
+    ~name:
+      (Printf.sprintf "expr eval on DAG terms %s the walk bound agrees with reference"
+         (if above then "above" else "within"))
+    (arb_dag_and_bytes ~above)
+    (fun (spec, bytes) ->
+      let e = build spec in
+      let lookup i = bytes.(i) in
+      e.Expr.nodes > Expr.walk_bound = above
+      && Int64.equal (Expr.eval lookup e) (ref_eval lookup spec))
+
+(* Tree-walking interval reference: the rules of [Interval.eval] with no
+   memo, so memoised evaluation must reproduce it exactly. *)
+let rec ref_interval lookup (e : Expr.t) =
+  match e.Expr.node with
+  | Expr.Const c -> Interval.point c
+  | Expr.Read i -> lookup i
+  | Expr.Bin (T.Or, x, y) when Int64.logand x.Expr.bits y.Expr.bits = 0L ->
+    Interval.binop T.Add (ref_interval lookup x) (ref_interval lookup y)
+  | Expr.Bin (op, x, y) ->
+    Interval.binop op (ref_interval lookup x) (ref_interval lookup y)
+  | Expr.Un (op, x) -> Interval.unop op (ref_interval lookup x)
+  | Expr.Ite (c, t, f) ->
+    let ci = ref_interval lookup c in
+    if Interval.definitely_true ci then ref_interval lookup t
+    else if Interval.definitely_false ci then ref_interval lookup f
+    else Interval.hull (ref_interval lookup t) (ref_interval lookup f)
+
+let gen_byte_intervals nvars =
+  let open QCheck.Gen in
+  array_size (return nvars)
+    (map2
+       (fun a b -> Interval.make (Int64.of_int (min a b)) (Int64.of_int (max a b)))
+       (int_range 0 255) (int_range 0 255))
+
+let prop_dag_interval above =
+  QCheck.Test.make ~count:500
+    ~name:
+      (Printf.sprintf "interval eval on DAG terms %s the walk bound equals the tree walk"
+         (if above then "above" else "within"))
+    (QCheck.make QCheck.Gen.(pair (gen_dag_term ~above 3) (gen_byte_intervals 3)))
+    (fun (spec, domains) ->
+      let e = build spec in
+      let lookup i = domains.(i) in
+      let iv = Interval.eval lookup e and expected = ref_interval lookup e in
+      e.Expr.nodes > Expr.walk_bound = above
+      && Int64.equal iv.Interval.lo expected.Interval.lo
+      && Int64.equal iv.Interval.hi expected.Interval.hi)
+
+(* Cache keys of one path share their smallest ids; the key table must
+   still spread them over its buckets. The polymorphic hash puts all
+   4000 of these keys in one bucket; a uniform hash averages about two
+   per bucket here, with a largest bucket near ten. *)
+let test_key_table_spreads_shared_prefixes () =
+  let module K = Simplify.Key_table in
+  let table = K.create 16 in
+  let prefix = List.init 12 (fun i -> 1000 + (3 * i)) in
+  for i = 0 to 3999 do
+    K.replace table (prefix @ [ 5000 + (i / 7); 90_000 + i ]) i
+  done;
+  let stats = K.stats table in
+  Alcotest.(check int) "every key bound" 4000 stats.Hashtbl.num_bindings;
+  Alcotest.(check bool)
+    (Printf.sprintf "largest bucket %d over %d buckets" stats.Hashtbl.max_bucket_length
+       stats.Hashtbl.num_buckets)
+    true
+    (stats.Hashtbl.max_bucket_length <= 16)
+
 let test_bits_of_field_composition () =
   (* u16 little-endian read: bits must be exactly 0xFFFF *)
   let u16 = Expr.bin T.Or (Expr.read 0) (Expr.bin T.Shl (Expr.read 1) (Expr.const 8L)) in
@@ -393,11 +515,17 @@ let suite =
     Alcotest.test_case "bits of field composition" `Quick test_bits_of_field_composition;
     Alcotest.test_case "solver u32 magic" `Quick test_solver_u32_magic;
     Alcotest.test_case "check_assuming" `Quick test_check_assuming_matches_check;
+    Alcotest.test_case "key table spreads shared prefixes" `Quick
+      test_key_table_spreads_shared_prefixes;
     QCheck_alcotest.to_alcotest prop_bits_sound;
     QCheck_alcotest.to_alcotest prop_simplifier_sound;
     QCheck_alcotest.to_alcotest prop_lognot_negates;
     QCheck_alcotest.to_alcotest prop_interval_sound;
     QCheck_alcotest.to_alcotest prop_interval_point_precision;
+    QCheck_alcotest.to_alcotest (prop_dag_eval false);
+    QCheck_alcotest.to_alcotest (prop_dag_eval true);
+    QCheck_alcotest.to_alcotest (prop_dag_interval false);
+    QCheck_alcotest.to_alcotest (prop_dag_interval true);
     QCheck_alcotest.to_alcotest prop_solver_matches_brute_force;
     QCheck_alcotest.to_alcotest prop_sat_model_satisfies;
   ]

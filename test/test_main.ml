@@ -20,5 +20,6 @@ let () =
       ("parallel", Suite_parallel.suite);
       ("robust", Suite_robust.suite);
       ("targets", Suite_targets.suite);
+      ("golden", Suite_golden.suite);
       ("snapshot", Suite_snapshot.suite);
     ]
