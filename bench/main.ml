@@ -10,6 +10,7 @@
 
 module Registry = Pbse_targets.Registry
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Klee = Pbse.Klee
 module Executor = Pbse_exec.Executor
 module Coverage = Pbse_exec.Coverage
@@ -56,7 +57,7 @@ let heading title =
 
 (* Every pbSE driver run performed by the harness contributes one CSV row
    of solver/fault/retry/phase telemetry, harvested through the same
-   Driver.run_report mapping the CLI's --report uses (docs/telemetry.md
+   Session.run_report mapping the CLI's --report uses (docs/telemetry.md
    documents the column <-> metric correspondence). *)
 let run_csv_metrics =
   [
@@ -76,7 +77,7 @@ let run_csv_metrics =
 let () =
   List.iter
     (fun m ->
-      if not (List.mem m Driver.Session.scalar_metric_names) then
+      if not (List.mem m Session.scalar_metric_names) then
         failwith ("runs.csv column not in the counter manifest: " ^ m))
     run_csv_metrics
 
@@ -103,13 +104,13 @@ let run_csv_header =
 let run_rows : string list ref = ref []
 
 let note_run ~suite ~name ~deadline report =
-  let rr = Driver.run_report report in
+  let rr = Session.run_report report in
   let row =
     String.concat ","
       ([
          suite;
          name;
-         string_of_int report.Driver.seed_size;
+         string_of_int report.Session.seed_size;
          string_of_int deadline;
        ]
       @ List.map (fun m -> string_of_int (Report.metric rr m)) run_csv_metrics
@@ -169,10 +170,10 @@ let klee_cell prog searcher sym_size =
   (List.assoc hour r.Klee.checkpoints, List.assoc ten_hours r.Klee.checkpoints)
 
 let pbse_row ~suite ~name prog seed =
-  let report = Driver.run prog ~seed ~deadline:ten_hours in
+  let report = Session.run prog ~seed ~deadline:ten_hours in
   note_run ~suite ~name ~deadline:ten_hours report;
-  let cov1 = Driver.coverage_at report hour in
-  let cov10 = Coverage.count (Executor.coverage report.Driver.executor) in
+  let cov1 = Session.coverage_at report hour in
+  let cov10 = Coverage.count (Executor.coverage report.Session.executor) in
   (report, cov1, cov10)
 
 let table1 () =
@@ -212,8 +213,8 @@ let table1 () =
       Tablefmt.add_row pbse_table
         [
           Printf.sprintf "seed(%d)" (Bytes.length seed);
-          string_of_int report.Driver.c_time;
-          string_of_int report.Driver.p_time;
+          string_of_int report.Session.c_time;
+          string_of_int report.Session.p_time;
           string_of_int cov1;
           string_of_int cov10;
         ])
@@ -329,15 +330,15 @@ let table3 () =
       List.iter
         (fun label ->
           let seed = Registry.seed t label in
-          let report = Driver.run prog ~seed ~deadline:ten_hours in
+          let report = Session.run prog ~seed ~deadline:ten_hours in
           note_run ~suite:"table3" ~name ~deadline:ten_hours report;
-          let traps = report.Driver.division.Phase.trap_count in
+          let traps = report.Session.division.Phase.trap_count in
           (* rank same-(function, kind) bugs by faulting block so labels
              with shared functions resolve deterministically *)
           let sorted =
             List.sort
               (fun ((a : Bug.t), _) ((b : Bug.t), _) -> Int.compare a.Bug.gid b.Bug.gid)
-              report.Driver.bugs
+              report.Session.bugs
           in
           List.iter
             (fun ((bug : Bug.t), phase_ordinal) ->
@@ -522,10 +523,10 @@ let fig5 () =
   ignore (run_seed "buggy" (Registry.seed t "buggy-cielab"));
   (* the case study: pbSE finds the CIELab bug; KLEE's default searcher
      does not, even in 10x the budget *)
-  let report = Driver.run prog ~seed:(Registry.seed t "small") ~deadline:ten_hours in
+  let report = Session.run prog ~seed:(Registry.seed t "small") ~deadline:ten_hours in
   note_run ~suite:"fig5" ~name:"tiff2rgba" ~deadline:ten_hours report;
   let pbse_found =
-    List.filter (fun ((b : Bug.t), _) -> b.Bug.kind = "oob-read") report.Driver.bugs
+    List.filter (fun ((b : Bug.t), _) -> b.Bug.kind = "oob-read") report.Session.bugs
   in
   let klee =
     Klee.run prog ~searcher:"default" ~input:(Bytes.make 100 '\000')
@@ -549,28 +550,28 @@ let ablate () =
   let seed = Registry.default_seed t in
   let table = Tablefmt.create [ "variant"; "traps"; "cov 1h"; "cov 10h"; "bugs" ] in
   let run label config =
-    let report = Driver.run ~config prog ~seed ~deadline:ten_hours in
+    let report = Session.run ~config prog ~seed ~deadline:ten_hours in
     note_run ~suite:"ablate" ~name:label ~deadline:ten_hours report;
     Tablefmt.add_row table
       [
         label;
-        string_of_int report.Driver.division.Phase.trap_count;
-        string_of_int (Driver.coverage_at report hour);
-        string_of_int (Coverage.count (Executor.coverage report.Driver.executor));
-        string_of_int (List.length report.Driver.bugs);
+        string_of_int report.Session.division.Phase.trap_count;
+        string_of_int (Session.coverage_at report hour);
+        string_of_int (Coverage.count (Executor.coverage report.Session.executor));
+        string_of_int (List.length report.Session.bugs);
       ];
     Printf.printf "  ... %s done\n%!" label
   in
-  run "pbSE (default)" Driver.default_config;
+  run "pbSE (default)" Session.default_config;
   run "BBV-only vectors"
-    Driver.(with_concolic (fun c -> { c with mode = Phase.Bbv_only }) default_config);
+    Session.(with_concolic (fun c -> { c with mode = Phase.Bbv_only }) default_config);
   run "no seedState dedup"
-    Driver.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
+    Session.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
   run "sequential phases"
-    Driver.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
+    Session.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
   run "coverage-greedy phases"
-    Driver.(with_search (fun s -> { s with scheduler = "coverage-greedy" }) default_config);
-  run "fixed k = 4" Driver.(with_search (fun s -> { s with max_k = 4 }) default_config);
+    Session.(with_search (fun s -> { s with scheduler = "coverage-greedy" }) default_config);
+  run "fixed k = 4" Session.(with_search (fun s -> { s with max_k = 4 }) default_config);
   Tablefmt.print table
 
 (* --- Robustness: fault-injected sweep ------------------------------------------- *)
@@ -585,7 +586,7 @@ let robust () =
     | Error e -> failwith e
   in
   Printf.printf "  plan: %s\n%!" (Inject.to_string plan);
-  let config = Driver.(with_robust (fun r -> { r with inject = plan }) default_config) in
+  let config = Session.(with_robust (fun r -> { r with inject = plan }) default_config) in
   let table =
     Tablefmt.create
       [ "target"; "cov clean"; "cov injected"; "bugs"; "faults"; "evicted" ]
@@ -594,23 +595,23 @@ let robust () =
     (fun t ->
       let prog = Registry.program t in
       let seed = Registry.default_seed t in
-      let clean = Driver.run prog ~seed ~deadline:hour in
+      let clean = Session.run prog ~seed ~deadline:hour in
       note_run ~suite:"robust-clean" ~name:t.Registry.name ~deadline:hour clean;
-      let faulty = Driver.run ~config prog ~seed ~deadline:hour in
+      let faulty = Session.run ~config prog ~seed ~deadline:hour in
       note_run ~suite:"robust-injected" ~name:t.Registry.name ~deadline:hour faulty;
       Tablefmt.add_row table
         [
           t.Registry.name;
-          string_of_int (Coverage.count (Executor.coverage clean.Driver.executor));
-          string_of_int (Coverage.count (Executor.coverage faulty.Driver.executor));
+          string_of_int (Coverage.count (Executor.coverage clean.Session.executor));
+          string_of_int (Coverage.count (Executor.coverage faulty.Session.executor));
           Printf.sprintf "%d/%d"
-            (List.length faulty.Driver.bugs)
-            (List.length clean.Driver.bugs);
-          string_of_int (Fault.total faulty.Driver.faults);
-          string_of_int faulty.Driver.quarantined;
+            (List.length faulty.Session.bugs)
+            (List.length clean.Session.bugs);
+          string_of_int (Fault.total faulty.Session.faults);
+          string_of_int faulty.Session.quarantined;
         ];
       Printf.printf "  ... %s done (%s)\n%!" t.Registry.name
-        (Fault.summary faulty.Driver.faults))
+        (Fault.summary faulty.Session.faults))
     Registry.all;
   Tablefmt.print table
 
@@ -628,11 +629,11 @@ let bechamel () =
   in
   let t2_kernel () =
     let t = target "gif2tiff" in
-    ignore (Driver.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
+    ignore (Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
   in
   let t3_kernel () =
     let t = target "tiff2bw" in
-    ignore (Driver.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
+    ignore (Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small)
   in
   let fig1_kernel () =
     let t = target "pngtest" in
@@ -732,7 +733,7 @@ let pool_bench () =
      merged bug count must match and merged coverage must not regress
      with the features on (docs/subsumption.md). *)
   let off_config =
-    Driver.(
+    Session.(
       with_pathcond
         (fun _ -> { subsumption = false; loop_summaries = false })
         default_config)
@@ -792,24 +793,24 @@ let pathcond_ab () =
   let seed = Registry.default_seed t in
   let deadline = ten_hours in
   let off_config =
-    Driver.(
+    Session.(
       with_pathcond
         (fun _ -> { subsumption = false; loop_summaries = false })
         default_config)
   in
-  let on_r = Driver.run prog ~seed ~deadline in
+  let on_r = Session.run prog ~seed ~deadline in
   note_run ~suite:"pathcond-ab" ~name:(t.Registry.name ^ "/on") ~deadline on_r;
-  let off_r = Driver.run ~config:off_config prog ~seed ~deadline in
+  let off_r = Session.run ~config:off_config prog ~seed ~deadline in
   note_run ~suite:"pathcond-ab" ~name:(t.Registry.name ^ "/off") ~deadline off_r;
   let bug_set r =
     List.sort_uniq compare
-      (List.map (fun ((b : Bug.t), _) -> (b.Bug.gid, b.Bug.kind)) r.Driver.bugs)
+      (List.map (fun ((b : Bug.t), _) -> (b.Bug.gid, b.Bug.kind)) r.Session.bugs)
   in
   if bug_set on_r <> bug_set off_r then begin
     prerr_endline "pathcond A-B: bug sets diverged between on and off";
     exit 1
   end;
-  let cov r = Coverage.count (Executor.coverage r.Driver.executor) in
+  let cov r = Coverage.count (Executor.coverage r.Session.executor) in
   let cov_on = cov on_r and cov_off = cov off_r in
   if cov_on < cov_off then begin
     Printf.eprintf "pathcond A-B: coverage regressed with features on (%d < %d)\n"
@@ -823,21 +824,21 @@ let pathcond_ab () =
       | [] -> deadline
       | (vt, c) :: rest -> if c >= cov_off then vt else scan rest
     in
-    scan (List.sort compare on_r.Driver.coverage_samples)
+    scan (List.sort compare on_r.Session.coverage_samples)
   in
   let last_bug_t =
     List.fold_left
       (fun acc ((b : Bug.t), _) -> max acc b.Bug.vtime)
-      0 on_r.Driver.bugs
+      0 on_r.Session.bugs
   in
   let parity_t = max cov_parity_t last_bug_t in
-  let work r = Report.metric (Driver.run_report r) "solver.work" in
+  let work r = Report.metric (Session.run_report r) "solver.work" in
   let w_on = work on_r and w_off = work off_r in
   let w_parity = w_on * parity_t / deadline in
   let reduction_pct =
     if w_off = 0 then 0 else 100 * (w_off - w_parity) / w_off
   in
-  let est = Executor.stats on_r.Driver.executor in
+  let est = Executor.stats on_r.Session.executor in
   Printf.printf
     "  off: cov %d, %d bug(s), %d work to deadline\n\
     \  on:  cov %d at deadline; outcome parity at t=%d/%d -> %d work\n\
@@ -1061,9 +1062,8 @@ let session_store_bench () =
    the real binary: here the server runs in-process on a temp socket,
    two clients request the same campaign concurrently over pbse-serve/2,
    and both responses must be byte-identical to the CLI `run --pool
-   --report` recipe for the same parameters. A third (v1 one-liner)
-   request measures the warm (store-served) latency and keeps the
-   deprecated framing exercised. Two further legs mirror the new CI
+   --report` recipe for the same parameters. A third, repeated request
+   measures the warm (store-served) latency. Two further legs mirror the CI
    gates: a quota-capped server must reject a burst with a structured
    over-capacity error, and a --store-file restart must serve the warm
    body from the reloaded residue cache. *)
@@ -1149,9 +1149,6 @@ let serve_bench () =
         rq_share = false;
       }
   in
-  let v1_line =
-    Printf.sprintf "{\"target\": %S, \"deadline\": %d}" t.Registry.name deadline
-  in
   let timed_request line =
     let t0 = Unix.gettimeofday () in
     let r = Pbse.Serve.request ~connect:endpoint line in
@@ -1169,7 +1166,7 @@ let serve_bench () =
         exit 1
       end
   in
-  (* leg 1: two concurrent v2 clients + one warm v1 one-liner *)
+  (* leg 1: two concurrent clients + one warm repeat *)
   let (timings, stats) =
     with_server (fun () ->
         let unset =
@@ -1184,10 +1181,10 @@ let serve_bench () =
         let b, b_ms = timed_request v2_line in
         Thread.join client_a;
         let a, a_ms = !slot_a in
-        let warm, warm_ms = timed_request v1_line in
+        let warm, warm_ms = timed_request v2_line in
         check "A" a;
         check "B" b;
-        check "warm-v1" warm;
+        check "warm" warm;
         (a_ms, b_ms, warm_ms))
   in
   let a_ms, b_ms, warm_ms = timings in
@@ -1245,7 +1242,7 @@ let serve_bench () =
     ~store_reloads:warm_stats.Pbse.Serve.sv_store_reloads ~suite:"serve"
     ~name:t.Registry.name ~deadline local;
   Printf.printf
-    "  2 concurrent v2 clients (%d / %d ms) + warm v1 reuse (%d ms): all \
+    "  2 concurrent v2 clients (%d / %d ms) + warm v2 repeat (%d ms): all \
      responses byte-identical to the CLI report (%d bytes); %d client(s), %d \
      store hit(s)\n%!"
     a_ms b_ms warm_ms (String.length local_json) stats.Pbse.Serve.sv_clients
@@ -1271,12 +1268,12 @@ let smoke ?(jobs = 1) () =
   let t = target "gif2tiff" in
   Telemetry.set_enabled true;
   let report =
-    Driver.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small
+    Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:small
   in
   Telemetry.set_enabled false;
   note_run ~suite:"smoke" ~name:t.Registry.name ~deadline:small report;
   let rr =
-    Driver.run_report
+    Session.run_report
       ~meta:
         [
           ("target", t.Registry.name);
@@ -1292,14 +1289,14 @@ let smoke ?(jobs = 1) () =
      sets must match, and the off-side report is written for the CI
      solver.work gate (docs/subsumption.md) *)
   let off_config =
-    Driver.(
+    Session.(
       with_pathcond
         (fun _ -> { subsumption = false; loop_summaries = false })
         default_config)
   in
   Telemetry.set_enabled true;
   let off_report =
-    Driver.run ~config:off_config (Registry.program t)
+    Session.run ~config:off_config (Registry.program t)
       ~seed:(Registry.default_seed t) ~deadline:small
   in
   Telemetry.set_enabled false;
@@ -1309,14 +1306,14 @@ let smoke ?(jobs = 1) () =
     List.sort_uniq compare
       (List.map
          (fun ((b : Pbse_exec.Bug.t), _) -> (b.Pbse_exec.Bug.gid, b.Pbse_exec.Bug.kind))
-         r.Driver.bugs)
+         r.Session.bugs)
   in
   if bug_set report <> bug_set off_report then begin
     prerr_endline "smoke pathcond A-B: bug sets diverged between on and off";
     exit 1
   end;
   let orr =
-    Driver.run_report
+    Session.run_report
       ~meta:
         [
           ("target", t.Registry.name);

@@ -7,6 +7,8 @@
    paper cares about: a magic check, an input-bounded loop (the trap
    phase), and a deeper handler hiding an out-of-bounds write. *)
 
+module Session = Pbse_session.Session
+
 let source =
   {|
 // a record file: magic 'R' 'X', record count, then (tag, value) pairs
@@ -38,18 +40,18 @@ let () =
   let program = Pbse_lang.Frontend.compile source in
   (* a benign seed: two small records *)
   let seed = Bytes.of_string "RX\002\001\010\002\020" in
-  let report = Pbse.Driver.run program ~seed ~deadline:60_000 in
+  let report = Session.run program ~seed ~deadline:60_000 in
 
-  let division = report.Pbse.Driver.division in
+  let division = report.Session.division in
   Printf.printf "phases found: %d (of which %d trap phases)\n"
     (List.length division.Pbse_phase.Phase.phases)
     division.Pbse_phase.Phase.trap_count;
   Printf.printf "phase strip:  %s\n" (Pbse_phase.Phase.render_strip division);
   Printf.printf "blocks covered: %d\n"
     (Pbse_exec.Coverage.count
-       (Pbse_exec.Executor.coverage report.Pbse.Driver.executor));
+       (Pbse_exec.Executor.coverage report.Session.executor));
 
-  match report.Pbse.Driver.bugs with
+  match report.Session.bugs with
   | [] -> print_endline "no bugs found (try a larger --deadline)"
   | bugs ->
     List.iter

@@ -7,6 +7,7 @@
    ahead once its phases are scheduled. *)
 
 module Registry = Pbse_targets.Registry
+module Session = Pbse_session.Session
 module Searcher = Pbse_exec.Searcher
 module Tablefmt = Pbse_util.Tablefmt
 
@@ -39,9 +40,9 @@ let () =
       Printf.printf "  ... %s done\n%!" searcher)
     Searcher.names;
   let report =
-    Pbse.Driver.run prog ~seed:(Registry.default_seed t)
+    Session.run prog ~seed:(Registry.default_seed t)
       ~deadline:(List.fold_left max 0 budgets)
   in
   Tablefmt.add_row table
-    ("pbSE" :: List.map (fun b -> string_of_int (Pbse.Driver.coverage_at report b)) budgets);
+    ("pbSE" :: List.map (fun b -> string_of_int (Session.coverage_at report b)) budgets);
   Tablefmt.print table

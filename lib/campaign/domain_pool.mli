@@ -17,7 +17,7 @@
     returns.
 
     Tasks must not share mutable state with each other; each should own
-    its session's runtime context ({!Pbse}'s [Runtime]). *)
+    its session's runtime context ([Pbse_session.Runtime]). *)
 
 type t
 (** A pool of worker domains. The pool spawns at most

@@ -13,31 +13,15 @@ module Expr = Pbse_smt.Expr
 module Telemetry = Pbse_telemetry.Telemetry
 module Report = Pbse_telemetry.Report
 module Session = Pbse_session.Session
+module Runtime = Pbse_session.Runtime
 module Session_store = Pbse_session.Session_store
 
-(* --- session layer re-exports ----------------------------------------------
-
-   The whole single-run lifecycle — configuration, open/step/finish,
-   run reports — lives in {!Pbse_session.Session}; the driver re-exports
-   it so [Driver.run] / [Driver.open_session] remain the engine-level
-   entry points, and keeps for itself only what is genuinely
-   campaign-shaped: seed pools, round scheduling, checkpoints, resume. *)
-
-type concolic_config = Session.concolic_config = {
-  interval_length : int option;
-  intervals_target : int;
-  time_period : int;
-  mode : Pbse_phase.Phase.mode;
-}
-
-type search_config = Session.search_config = {
-  phase_searcher : string;
-  scheduler : string;
-  max_live : int;
-  dedup_seed_states : bool;
-  max_k : int;
-  share_seed_states : bool;
-}
+(* The single-run lifecycle lives in {!Pbse_session.Session}; the driver
+   owns only what is campaign-shaped: seed pools, round scheduling,
+   checkpoints, resume. The configuration types below stay spelled here
+   because the repository benchmark writes [config.Driver.rng_seed] and
+   [config.Driver.robust.Driver.inject], and a qualified label resolves
+   only in the module that declares (or re-declares) it. *)
 
 type solver_config = Session.solver_config = {
   budget : int;
@@ -54,72 +38,21 @@ type robust_config = Session.robust_config = {
   degrade_after : int;
 }
 
-type pathcond_config = Session.pathcond_config = {
-  subsumption : bool;
-  loop_summaries : bool;
-}
-
 type config = Session.config = {
-  concolic : concolic_config;
-  search : search_config;
+  concolic : Session.concolic_config;
+  search : Session.search_config;
   solver : solver_config;
   robust : robust_config;
-  pathcond : pathcond_config;
+  pathcond : Session.pathcond_config;
   rng_seed : int;
 }
 
 let default_config = Session.default_config
-let with_concolic = Session.with_concolic
-let with_search = Session.with_search
-let with_solver = Session.with_solver
-let with_robust = Session.with_robust
-let with_pathcond = Session.with_pathcond
-let with_rng_seed = Session.with_rng_seed
-let config_to_kvs = Session.config_to_kvs
-let config_of_kvs = Session.config_of_kvs
-let interval_length_for = Session.interval_length_for
-
-type report = Session.report = {
-  config : config;
-  seed_size : int;
-  c_time : int;
-  p_time : int;
-  division : Pbse_phase.Phase.division;
-  bbvs : Pbse_concolic.Bbv.t list;
-  trace : Pbse_concolic.Trace.t;
-  seed_state_count : int;
-  interval_length : int;
-  coverage_samples : (int * int) list;
-  bugs : (Bug.t * int) list;
-  executor : Executor.t;
-  faults : Fault.log;
-  quarantined : int;
-  strikes : int;
-  sched_stats : Pbse_sched.Scheduler.stats;
-  phase_stats : Report.phase_row list;
-  registry : Telemetry.Registry.t;
-}
-
-let coverage_at = Session.coverage_at
-let run = Session.run
-
-type session = Session.t
-
-let open_session = Session.open_session
-let step_session = Session.step_session
-let session_time = Session.session_time
-let session_drained = Session.session_drained
-let session_executor = Session.session_executor
-let session_runtime = Session.session_runtime
-let finish_session = Session.finish_session
-let run_report = Session.run_report
-let scalar_metrics = Session.scalar_metrics
-let span_metrics = Session.span_metrics
 
 (* --- seed pools ------------------------------------------------------------ *)
 
 type pool_report = {
-  runs : (bytes * report) list;
+  runs : (bytes * Session.report) list;
   merged_coverage : int;
   merged_bugs : (Bug.t * int) list;
   pool_scheduler : string;
@@ -808,7 +741,7 @@ let run_pool ?(config = default_config) ?(scheduler = Pool_scheduler.default)
                 ( "telemetry",
                   if Telemetry.Registry.enabled pool_registry then "1" else "0" );
               ]
-            @ config_to_kvs config;
+            @ Session.config_to_kvs config;
           sn_deadline = deadline;
           sn_spent = !spent_acc;
           sn_rounds = !rounds;
@@ -973,7 +906,7 @@ let run_pool ?(config = default_config) ?(scheduler = Pool_scheduler.default)
 let pool_run_report ?(meta = []) pool =
   let reports = List.map snd pool.runs in
   let summed =
-    match List.map scalar_metrics reports with
+    match List.map Session.scalar_metrics reports with
     | [] -> []
     | first :: rest ->
       List.fold_left
@@ -1013,7 +946,7 @@ let pool_run_report ?(meta = []) pool =
         (fun kind -> ("pool.fault." ^ Fault.label kind, Fault.count pool.pool_faults kind))
         Fault.all
     @ summed
-    @ span_metrics pool.pool_registry
+    @ Session.span_metrics pool.pool_registry
   in
   {
     Report.meta = ("pool_scheduler", pool.pool_scheduler) :: meta;
@@ -1046,7 +979,7 @@ let load_snapshot ~path =
 
 let resume_pool ?jobs ?lease ?checkpoint ?fallback snapshot prog ~seeds =
   let meta = snapshot.Snapshot.sn_meta in
-  match config_of_kvs meta with
+  match Session.config_of_kvs meta with
   | Error e -> Error ("snapshot config: " ^ e)
   | Ok config -> (
     let scheduler =

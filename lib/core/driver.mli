@@ -1,224 +1,60 @@
-(** The pbSE driver — the paper's contribution (Algorithms 1 and 3).
+(** The pbSE campaign layer.
 
-    The single-run lifecycle (configuration, [run], resumable sessions,
-    run reports) lives in the session layer ({!Pbse_session.Session})
-    and is re-exported here verbatim, so [Driver.run] /
-    [Driver.open_session] remain the engine-level entry points. What the
-    driver owns is the campaign layer: {!run_pool} drives a seed pool
-    through seed-level scheduling policies
-    ({!Pbse_campaign.Pool_scheduler}) built on resumable
-    {!type:session}s — checkpointed, resumable, optionally warmed by a
-    {!Session_store} and shared-seedState-aware — and
+    The paper's single-run driver (Algorithms 1 and 3) lives in the
+    session layer: {!Pbse_session.Session.run} and its resumable
+    open/step/finish lifecycle. The driver runs it over a seed pool:
+    {!run_pool} drives the pool through seed-level scheduling policies
+    ({!Pbse_campaign.Pool_scheduler}) built on resumable sessions —
+    checkpointed, resumable, optionally warmed by a
+    {!Pbse_session.Session_store} and shared-seedState-aware — and
     {!pool_run_report} renders the aggregate into the same
     [pbse-report/1] document single runs use. *)
 
-module Session = Pbse_session.Session
-module Session_store = Pbse_session.Session_store
+open Pbse_session
 
 (** {1 Configuration}
 
-    Re-exported from {!Session}. Build one from {!default_config} with
-    the [with_*] helpers:
-    {[
-      Driver.default_config
-      |> Driver.with_concolic (fun c -> { c with time_period = 500 })
-      |> Driver.with_search (fun s -> { s with scheduler = "sequential" })
-    ]} *)
-
-type concolic_config = Session.concolic_config = {
-  interval_length : int option; (* BBV interval; None sizes it from a
-                                   concrete pre-run of the seed *)
-  intervals_target : int; (* BBVs aimed for when auto-sizing (default 120) *)
-  time_period : int; (* Algorithm 3's TimePeriod; also the seed-level
-                        turn quantum of pool schedulers *)
-  mode : Pbse_phase.Phase.mode; (* BBV-only or coverage-augmented vectors *)
-}
-(** The concolic pass and phase-division inputs. *)
-
-type search_config = Session.search_config = {
-  phase_searcher : string; (* searcher used inside each phase *)
-  scheduler : string; (* scheduling policy (Pbse_sched.Scheduler.names);
-                         "round-robin" is the paper's Algorithm 3,
-                         "sequential" the ablation, "coverage-greedy"
-                         the greedy alternative, "trap-first" the
-                         trap-prioritising rotation *)
-  max_live : int;
-  dedup_seed_states : bool; (* keep earliest per fork point (paper) *)
-  max_k : int; (* k-means upper bound (paper: 20) *)
-  share_seed_states : bool; (* campaign-wide seedState dedup across
-                               seeds (Session.share); default false *)
-}
-(** State search and phase scheduling. *)
+    {!Session.config} and two of its parts, re-declared so that the
+    repository benchmark's qualified labels ([config.Driver.rng_seed],
+    [config.Driver.robust.Driver.inject]) keep resolving: OCaml looks a
+    qualified label up only in the module that declares it. Everything
+    else about configuration is spelled through {!Session}. *)
 
 type solver_config = Session.solver_config = {
-  budget : int; (* work units per query *)
-  retry_cap : int; (* upper bound for escalating solver retries *)
-  prefix_cap : int; (* prefix-context LRU bound (Pbse_smt.Prefix_ctx) *)
+  budget : int;
+  retry_cap : int;
+  prefix_cap : int;
 }
 
 type robust_config = Session.robust_config = {
   confirm_bugs : bool;
-  max_strikes : int; (* faults a state survives before quarantine *)
-  inject : Pbse_robust.Inject.plan; (* deterministic fault injection *)
-  watchdog_factor : int; (* a campaign turn spending more than
-                            factor x budget records a Turn_timeout and
-                            strikes its seed; 0 disables the watchdog *)
-  watchdog_strikes : int; (* watchdog/crash strikes before a seed is
-                             force-retired from the pool; 0 = never *)
-  degrade_after : int; (* pool-level faults per degradation step: each
-                          step halves the effective --jobs and the
-                          solver prefix cap; 0 disables degradation *)
+  max_strikes : int;
+  inject : Pbse_robust.Inject.plan;
+  watchdog_factor : int;
+  watchdog_strikes : int;
+  degrade_after : int;
 }
-
-type pathcond_config = Session.pathcond_config = {
-  subsumption : bool; (* block-boundary unsat-core subsumption cache *)
-  loop_summaries : bool; (* closed-form counting-loop summaries *)
-}
-(** Path-condition layer pruning (docs/subsumption.md). Both on by
-    default; both are coverage- and bug-transparent. *)
 
 type config = Session.config = {
-  concolic : concolic_config;
-  search : search_config;
+  concolic : Session.concolic_config;
+  search : Session.search_config;
   solver : solver_config;
   robust : robust_config;
-  pathcond : pathcond_config;
+  pathcond : Session.pathcond_config;
   rng_seed : int;
 }
 
 val default_config : config
+(** {!Session.default_config}. *)
 
-val with_concolic : (concolic_config -> concolic_config) -> config -> config
-val with_search : (search_config -> search_config) -> config -> config
-val with_solver : (solver_config -> solver_config) -> config -> config
-val with_robust : (robust_config -> robust_config) -> config -> config
-val with_pathcond : (pathcond_config -> pathcond_config) -> config -> config
-val with_rng_seed : int -> config -> config
-
-val config_to_kvs : config -> (string * string) list
-(** Flat [(key, value)] rendering of every config field (e.g.
-    [("solver.prefix_cap", "256")]), stored in campaign snapshots so a
-    resumed process rebuilds the exact configuration. *)
-
-val config_of_kvs : (string * string) list -> (config, string) result
-(** Inverse of {!config_to_kvs} over {!default_config}. Unknown keys
-    are ignored (snapshot metadata carries non-config entries such as
-    the target name); a malformed value for a known key is an error. *)
-
-val interval_length_for :
-  config -> Pbse_ir.Types.program -> seed:bytes -> int
-(** The BBV interval the driver will use for [seed]: the configured
-    [interval_length] if set, otherwise sized from a concrete pre-run so
-    the run yields about [intervals_target] BBVs. *)
-
-(** {1 Single runs} *)
-
-type report = Session.report = {
-  config : config;
-  seed_size : int;
-  c_time : int; (* virtual time of the concolic step *)
-  p_time : int; (* virtual time charged for phase analysis *)
-  division : Pbse_phase.Phase.division;
-  bbvs : Pbse_concolic.Bbv.t list;
-  trace : Pbse_concolic.Trace.t; (* concrete block-entry trace *)
-  seed_state_count : int; (* after mapping, dedup and verification *)
-  interval_length : int; (* BBV interval actually used *)
-  coverage_samples : (int * int) list; (* (virtual time, blocks covered) *)
-  bugs : (Pbse_exec.Bug.t * int) list; (* bug, 1-based phase ordinal (0 = concolic) *)
-  executor : Pbse_exec.Executor.t; (* for stats and coverage queries *)
-  faults : Pbse_robust.Fault.log; (* contained failures, by kind *)
-  quarantined : int; (* states evicted this run ([max_strikes] faults) *)
-  strikes : int; (* faults charged against states this run *)
-  sched_stats : Pbse_sched.Scheduler.stats; (* turns/rotations/evictions *)
-  phase_stats : Pbse_telemetry.Report.phase_row list;
-      (* per-phase scheduling stats in ordinal order: turns granted,
-         slices run, new-cover slices, dwell time, quarantine evictions.
-         Always collected (a few ints per phase). *)
-  registry : Pbse_telemetry.Telemetry.Registry.t;
-      (* the session's instruments; {!run_report} snapshots its spans
-         and histograms *)
-}
-
-val coverage_at : report -> int -> int
-(** [coverage_at report t] — blocks covered by virtual time [t]
-    (monotone interpolation of the samples). *)
-
-val run :
-  ?config:config ->
-  ?quarantine:Pbse_robust.Quarantine.t ->
-  ?runtime:Runtime.t ->
-  Pbse_ir.Types.program ->
-  seed:bytes ->
-  deadline:int ->
-  report
-(** End-to-end pbSE on one seed ({!Session.run}). *)
-
-(** {1 Resumable sessions}
-
-    [run] is [open_session] + one [step_session] + [finish_session]. The
-    split lets a caller (the campaign layer) grant a seed's engine
-    budget in turns rather than one deadline: the scheduling policy's
-    rotation state survives between steps, so a resumed session
-    continues exactly where it paused. *)
-
-type session = Session.t
-(** One seed's engine with setup done (concolic pass, phase division,
-    seeded queues) and scheduling state live. *)
-
-val open_session :
-  ?config:config ->
-  ?quarantine:Pbse_robust.Quarantine.t ->
-  ?runtime:Runtime.t ->
-  ?reset_telemetry:bool ->
-  ?share:Session.share ->
-  Pbse_ir.Types.program ->
-  seed:bytes ->
-  deadline:int ->
-  session
-(** {!Session.open_session}: runs the concolic and phase-analysis steps
-    (charged to the session's clock) and seeds the phase queues;
-    [deadline] bounds the concolic pass only. [share] is the
-    campaign-wide seedState/solver-residue table, consulted only when
-    [config.search.share_seed_states] is on. *)
-
-val step_session : session -> deadline:int -> unit
-(** Phase-scheduled symbolic execution until [deadline] on the
-    session's own clock (an absolute virtual time, not a delta).
-    Returns early if the scheduler drains. *)
-
-val session_time : session -> int
-(** Current virtual time of the session's clock. *)
-
-val session_drained : session -> bool
-(** True when every phase queue has left the rotation; further steps
-    are no-ops. *)
-
-val session_executor : session -> Pbse_exec.Executor.t
-
-val session_runtime : session -> Runtime.t
-(** The context the session was opened with. *)
-
-val finish_session : session -> report
-(** Assemble the run report from the session's current state. The
-    session stays usable; finishing again after more steps is valid. *)
-
-val run_report :
-  ?meta:(string * string) list -> report -> Pbse_telemetry.Report.t
-(** Assemble the structured run report: solver query/retry/escalation
-    counts, executor and verification totals, per-phase turn/coverage
-    stats, fault and quarantine totals, plus span and histogram
-    snapshots from the telemetry registry (populated only when telemetry
-    was enabled during the run). Deterministic: identical seeded runs
-    yield byte-identical {!Pbse_telemetry.Report.to_json} output. *)
+(** {1 Seed-pool campaigns} *)
 
 val select_seed : bytes list -> coverage_of:(bytes -> int) -> bytes option
 (** The paper's seed-selection heuristic (§III-B4): consider the 10
     smallest seeds, pick the one with the best coverage. *)
 
-(** {1 Seed-pool campaigns} *)
-
 type pool_report = {
-  runs : (bytes * report) list; (* in first-turn order *)
+  runs : (bytes * Session.report) list; (* in first-turn order *)
   merged_coverage : int; (* union of covered blocks across runs *)
   merged_bugs : (Pbse_exec.Bug.t * int) list; (* deduplicated, with the
                                                  phase ordinal of the run

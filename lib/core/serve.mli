@@ -15,11 +15,11 @@
     memo; with [store_file], rendered responses also persist across a
     server restart (reloaded on boot, so a deploy keeps the cache warm).
 
-    The wire protocol lives in {!Pbse_serve.Protocol}: v2 requests are
-    typed envelopes with structured error codes and optional progress
-    frames at round barriers; the v1 one-liner remains served for old
-    clients (deprecated). Shutdown is immediate: the accept loop blocks
-    on a self-pipe ({!Pbse_serve.Transport.control}), not a poll. *)
+    The wire protocol lives in {!Pbse_serve.Protocol}: requests are
+    typed v2 envelopes, answered with structured error codes or a report
+    frame, optionally preceded by progress frames at round barriers.
+    Shutdown is immediate: the accept loop blocks on a self-pipe
+    ({!Pbse_serve.Transport.control}), not a poll. *)
 
 type stats = {
   sv_clients : int;  (** connections accepted *)
@@ -76,8 +76,7 @@ val serve :
 type error_info = {
   err_code : string;
       (** a {!Pbse_serve.Protocol.error_code} label, or ["connect"] /
-          ["transport"] for client-side failures, or ["error"] for a
-          bare v1 server error *)
+          ["transport"] for client-side failures *)
   err_message : string;
   err_retry_after : int option;  (** seconds; [over-capacity] only *)
 }
@@ -92,8 +91,5 @@ val request :
     to the server at [connect], return the report bytes or a structured
     error. [timeout] (seconds) bounds the connect and every read.
     [on_progress] receives each progress frame's round number as it
-    arrives. The response dialect is auto-detected; if a v2 envelope is
-    answered by a v1-only server (a v1 error to a line it cannot have
-    understood), the request is downgraded to the v1 one-liner and
-    retried once on a fresh connection. Used by [pbse request], the
-    serve tests and the bench drills. *)
+    arrives. Used by [pbse request], the serve tests and the bench
+    drills. *)

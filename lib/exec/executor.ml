@@ -41,7 +41,7 @@ type stats = {
   mutable interpolant_hits : int; (* queries answered Unsat from recorded cores *)
   mutable interpolant_misses : int; (* consults that scanned a non-empty bucket in vain *)
   mutable loop_summaries : int; (* loops leapt over via a summarized transition *)
-  mutable summary_fallbacks : int; (* loops downgraded to plain unrolling *)
+  mutable summary_fallbacks : int; (* loops left to plain unrolling *)
 }
 
 type t = {
@@ -96,7 +96,7 @@ let create ?(max_live = 8192) ?(solver_budget = 60_000) ?solver_retry_cap
   in
   let cfg = Cfg.build prog in
   (* static loop-summary pass: template matches become one-step
-     transitions, mismatches are fault-free downgrades counted up front *)
+     transitions, mismatches are fault-free fallbacks counted up front *)
   let summary_analysis =
     if loop_summaries then Loop_summary.analyze prog
     else { Loop_summary.summaries = Hashtbl.create 1; fallbacks = 0 }

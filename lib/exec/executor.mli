@@ -58,7 +58,7 @@ type stats = {
   mutable summary_fallbacks : int;
   (* loops executed by plain unrolling: static template mismatches
      (counted once at creation) plus runtime signed-compare guard
-     failures — fault-free downgrades *)
+     failures — fault-free fallbacks *)
 }
 
 type t

@@ -31,7 +31,7 @@
 
     Loops that fail the template — nested, multi-latch, irreducible,
     effectful bodies — are counted as fallbacks and executed by plain
-    unrolling, a fault-free downgrade. *)
+    unrolling, never a fault. *)
 
 type update = {
   dst : int; (* register advanced by the loop body *)

@@ -1,17 +1,15 @@
 module Json = Pbse_telemetry.Json
 
-(* pbse-serve/2 wire protocol (docs/serve.md): every v2 message is one
+(* pbse-serve/2 wire protocol (docs/serve.md): every message is one
    JSON object on one line. Requests carry a typed envelope — protocol
    version, optional request id and client identity, a progress switch
    and the campaign parameters under "params" — and are parsed strictly:
-   unknown fields, duplicated fields and mistyped values are rejected
-   with a structured error code, so a v3 client can't be silently
-   half-understood. Requests without a "pbse" member are the deprecated
-   v1 one-liner and keep their lenient parse. Responses are framed
-   events; the report frame announces a byte count and is followed by
-   exactly that many raw bytes of pbse-report/1 JSON — raw, never
-   embedded in the frame, so the payload stays byte-identical to what
-   the CLI writes. *)
+   unknown fields, duplicated fields, mistyped values and out-of-range
+   counts are rejected with a structured error code, so a v3 client
+   can't be silently half-understood. Responses are framed events; the
+   report frame announces a byte count and is followed by exactly that
+   many raw bytes of pbse-report/1 JSON — raw, never embedded in the
+   frame, so the payload stays byte-identical to what the CLI writes. *)
 
 let version = 2
 let max_line = 65_536
@@ -47,8 +45,6 @@ let error_code_of_label = function
   | "oversized-request" -> Some Oversized_request
   | "internal" -> Some Internal
   | _ -> None
-
-type wire_version = V1 | V2
 
 type request = {
   rq_id : string option;
@@ -99,6 +95,15 @@ let typed ~what key conv = function
 
 let ( let* ) = Result.bind
 
+(* What a client sends is exactly what runs: an out-of-range count is
+   rejected, never clamped. *)
+let positive ~what key v =
+  let* n = typed ~what key Json.to_int v in
+  match n with
+  | Some n when n <= 0 ->
+    Error (Bad_request, Printf.sprintf "%s field %S must be > 0" what key)
+  | n -> Ok n
+
 let envelope_fields = [ "pbse"; "id"; "client"; "progress"; "params" ]
 
 let params_fields =
@@ -115,13 +120,13 @@ let parse_params ~what fields =
       | Some t -> Ok t
       | None -> Error (Bad_request, what ^ " field \"target\" has the wrong type"))
   in
-  let* deadline = typed ~what "deadline" Json.to_int (get "deadline") in
+  let* deadline = positive ~what "deadline" (get "deadline") in
   let* pool_scheduler =
     typed ~what "pool_scheduler" Json.to_str (get "pool_scheduler")
   in
   let* scheduler = typed ~what "scheduler" Json.to_str (get "scheduler") in
-  let* jobs = typed ~what "jobs" Json.to_int (get "jobs") in
-  let* lease = typed ~what "lease" Json.to_int (get "lease") in
+  let* jobs = positive ~what "jobs" (get "jobs") in
+  let* lease = positive ~what "lease" (get "lease") in
   let* share = typed ~what "share" Json.to_bool (get "share") in
   Ok
     ( target,
@@ -129,7 +134,7 @@ let parse_params ~what fields =
       Option.value pool_scheduler ~default:"",
       scheduler,
       jobs,
-      max 1 (Option.value lease ~default:1),
+      Option.value lease ~default:1,
       Option.value share ~default:false )
 
 let parse_v2 fields =
@@ -163,59 +168,27 @@ let parse_v2 fields =
       rq_share = share;
     }
 
-(* The deprecated-but-served v1 request: a flat object, parsed leniently
-   (unknown fields ignored, wrong types fall back to defaults) exactly
-   as pbse-serve/1 always did. *)
-let parse_v1 json =
-  let str k = Option.bind (Json.member k json) Json.to_str in
-  let int k = Option.bind (Json.member k json) Json.to_int in
-  let bool k = Option.bind (Json.member k json) Json.to_bool in
-  match str "target" with
-  | None -> Error (Bad_request, "request needs a \"target\" field")
-  | Some target ->
-    Ok
-      {
-        rq_id = None;
-        rq_client = None;
-        rq_progress = false;
-        rq_target = target;
-        rq_deadline = Option.value (int "deadline") ~default:default_deadline;
-        rq_pool_scheduler = Option.value (str "pool_scheduler") ~default:"";
-        rq_scheduler = str "scheduler";
-        rq_jobs = int "jobs";
-        rq_lease = max 1 (Option.value (int "lease") ~default:1);
-        rq_share = Option.value (bool "share") ~default:false;
-      }
-
-(* Parse errors carry the request's wire version when it could be told
-   apart (so the server can answer a broken v1 request with v1 framing);
-   [None] means undeterminable — the server answers those in v2. *)
 let parse_request line =
   match Json.parse line with
-  | Error e -> Error (None, Bad_json, "bad request JSON: " ^ e)
+  | Error e -> Error (Bad_json, "bad request JSON: " ^ e)
   | Ok json -> (
     match fields_of json with
-    | None -> Error (None, Bad_request, "request must be a JSON object")
+    | None -> Error (Bad_request, "request must be a JSON object")
     | Some fields -> (
       match List.assoc_opt "pbse" fields with
       | None ->
-        Result.map_error
-          (fun (code, msg) -> (Some V1, code, msg))
-          (Result.map (fun r -> (V1, r)) (parse_v1 json))
+        Error
+          ( Unsupported_version,
+            "request has no \"pbse\" member (supported: pbse-serve/2)" )
       | Some v -> (
         match Json.to_int v with
-        | Some 2 ->
-          Result.map_error
-            (fun (code, msg) -> (Some V2, code, msg))
-            (Result.map (fun r -> (V2, r)) (parse_v2 fields))
+        | Some 2 -> parse_v2 fields
         | Some n ->
           Error
-            ( None,
-              Unsupported_version,
-              Printf.sprintf "protocol version %d not supported (supported: 1 2)"
-                n )
+            ( Unsupported_version,
+              Printf.sprintf "protocol version %d not supported (supported: 2)" n )
         | None ->
-          Error (None, Bad_request, "envelope field \"pbse\" must be an integer"))))
+          Error (Bad_request, "envelope field \"pbse\" must be an integer"))))
 
 (* --- rendering -------------------------------------------------------------- *)
 
@@ -249,19 +222,6 @@ let render_request r =
             (if r.rq_progress then [ ("progress", Json.Bool true) ] else []);
             [ ("params", params_json r) ];
           ]))
-
-(* A v2 line downgraded to the v1 one-liner, for client-side fallback
-   against a server that predates the envelope. Progress streaming has
-   no v1 spelling, so a progress request refuses to downgrade. *)
-let downgrade_request line =
-  match parse_request line with
-  | Error _ | Ok (V1, _) -> None
-  | Ok (V2, r) ->
-    if r.rq_progress then None
-    else (
-      match params_json r with
-      | Json.Obj fields -> Some (Json.to_string (Json.Obj fields))
-      | _ -> None)
 
 (* --- response frames -------------------------------------------------------- *)
 
@@ -332,22 +292,3 @@ let parse_frame line =
              })
       | Some e -> Error (Printf.sprintf "unknown response event %S" e)
       | None -> Error "response frame without an \"event\" member"))
-
-(* --- v1 framing (deprecated, still served) ---------------------------------- *)
-
-let sanitize msg =
-  String.map (fun c -> if c = '\n' || c = '\r' then ' ' else c) msg
-
-let render_v1_ok_header bytes = Printf.sprintf "pbse-serve/1 ok %d\n" bytes
-let render_v1_error msg = "pbse-serve/1 error " ^ sanitize msg ^ "\n"
-
-type v1_header = V1_ok of int | V1_error of string
-
-let parse_v1_header header =
-  match String.split_on_char ' ' header with
-  | "pbse-serve/1" :: "ok" :: n :: _ -> (
-    match int_of_string_opt n with
-    | Some n when n >= 0 -> Some (V1_ok n)
-    | _ -> None)
-  | "pbse-serve/1" :: "error" :: rest -> Some (V1_error (String.concat " " rest))
-  | _ -> None

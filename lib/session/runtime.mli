@@ -10,8 +10,8 @@
     (docs/parallelism.md).
 
     [Session.open_session] builds a default runtime from its config when
-    the caller doesn't supply one, so single-run and legacy callers keep
-    the process-global defaults ({!Pbse_telemetry.Telemetry.Registry.default},
+    the caller doesn't supply one, so single-run callers keep the
+    process-global defaults ({!Pbse_telemetry.Telemetry.Registry.default},
     the default expression arena). *)
 
 type t = {

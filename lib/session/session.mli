@@ -24,8 +24,8 @@
     (the rotation fails over to the remaining queues). Degenerate phase
     division (no BBVs) falls back to a single phase instead of raising.
 
-    The campaign layer ([Pbse.Driver]) re-exports everything here, so
-    existing callers keep using [Driver.run] / [Driver.open_session]. *)
+    This module is the single-run entry point; the campaign layer
+    ([Pbse.Driver]) runs its sessions over a seed pool. *)
 
 (** {1 Configuration}
 

@@ -1,4 +1,5 @@
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Klee = Pbse.Klee
 module Registry = Pbse_targets.Registry
 module Coverage = Pbse_exec.Coverage
@@ -64,23 +65,23 @@ let test_klee_unknown_searcher () =
        false
      with Invalid_argument _ -> true)
 
-let run_driver ?(config = Driver.default_config) ?(deadline = 150_000) () =
-  Driver.run ~config (mini_program ()) ~seed:(mini_seed ()) ~deadline
+let run_driver ?(config = Session.default_config) ?(deadline = 150_000) () =
+  Session.run ~config (mini_program ()) ~seed:(mini_seed ()) ~deadline
 
 let test_driver_report_sane () =
   let report = run_driver () in
-  Alcotest.(check bool) "c_time positive" true (report.Driver.c_time > 0);
-  Alcotest.(check bool) "p_time positive" true (report.Driver.p_time > 0);
-  Alcotest.(check bool) "interval length positive" true (report.Driver.interval_length > 0);
+  Alcotest.(check bool) "c_time positive" true (report.Session.c_time > 0);
+  Alcotest.(check bool) "p_time positive" true (report.Session.p_time > 0);
+  Alcotest.(check bool) "interval length positive" true (report.Session.interval_length > 0);
   Alcotest.(check bool) "has phases" true
-    (List.length report.Driver.division.Pbse_phase.Phase.phases >= 1);
-  Alcotest.(check bool) "has seedStates" true (report.Driver.seed_state_count >= 1);
+    (List.length report.Session.division.Pbse_phase.Phase.phases >= 1);
+  Alcotest.(check bool) "has seedStates" true (report.Session.seed_state_count >= 1);
   Alcotest.(check int) "seed size recorded" (Bytes.length (mini_seed ()))
-    report.Driver.seed_size
+    report.Session.seed_size
 
 let test_driver_finds_deep_bug () =
   let report = run_driver () in
-  match report.Driver.bugs with
+  match report.Session.bugs with
   | [] -> Alcotest.fail "expected the stage3 bug"
   | bugs ->
     List.iter
@@ -93,7 +94,7 @@ let test_driver_finds_deep_bug () =
 
 let test_driver_beats_coverage_floor () =
   let report = run_driver () in
-  let cov = Coverage.count (Executor.coverage report.Driver.executor) in
+  let cov = Coverage.count (Executor.coverage report.Session.executor) in
   (* concolic alone covers the seed path; pbSE must exceed it *)
   let concolic_only =
     let prog = mini_program () in
@@ -105,21 +106,21 @@ let test_driver_beats_coverage_floor () =
 
 let test_driver_coverage_at_monotone () =
   let report = run_driver () in
-  let c1 = Driver.coverage_at report 10_000 in
-  let c2 = Driver.coverage_at report 100_000 in
-  let c3 = Driver.coverage_at report max_int in
+  let c1 = Session.coverage_at report 10_000 in
+  let c2 = Session.coverage_at report 100_000 in
+  let c3 = Session.coverage_at report max_int in
   Alcotest.(check bool) "monotone" true (c1 <= c2 && c2 <= c3);
   Alcotest.(check int) "final matches executor" c3
-    (Coverage.count (Executor.coverage report.Driver.executor))
+    (Coverage.count (Executor.coverage report.Session.executor))
 
 let test_driver_deterministic () =
   let a = run_driver () in
   let b = run_driver () in
   Alcotest.(check int) "same final coverage"
-    (Coverage.count (Executor.coverage a.Driver.executor))
-    (Coverage.count (Executor.coverage b.Driver.executor));
-  Alcotest.(check int) "same bug count" (List.length a.Driver.bugs)
-    (List.length b.Driver.bugs)
+    (Coverage.count (Executor.coverage a.Session.executor))
+    (Coverage.count (Executor.coverage b.Session.executor));
+  Alcotest.(check int) "same bug count" (List.length a.Session.bugs)
+    (List.length b.Session.bugs)
 
 let test_driver_config_variants () =
   (* the ablation configurations must all run to completion *)
@@ -127,17 +128,17 @@ let test_driver_config_variants () =
     (fun config ->
       let report = run_driver ~config ~deadline:60_000 () in
       Alcotest.(check bool) "coverage positive" true
-        (Coverage.count (Executor.coverage report.Driver.executor) > 0))
+        (Coverage.count (Executor.coverage report.Session.executor) > 0))
     [
-      Driver.(
+      Session.(
         with_concolic
           (fun c -> { c with mode = Pbse_phase.Phase.Bbv_only })
           default_config);
-      Driver.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
-      Driver.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
-      Driver.(with_search (fun s -> { s with phase_searcher = "dfs" }) default_config);
-      Driver.(with_search (fun s -> { s with max_k = 4 }) default_config);
-      Driver.(with_concolic (fun c -> { c with interval_length = Some 40 }) default_config);
+      Session.(with_search (fun s -> { s with dedup_seed_states = false }) default_config);
+      Session.(with_search (fun s -> { s with scheduler = "sequential" }) default_config);
+      Session.(with_search (fun s -> { s with phase_searcher = "dfs" }) default_config);
+      Session.(with_search (fun s -> { s with max_k = 4 }) default_config);
+      Session.(with_concolic (fun c -> { c with interval_length = Some 40 }) default_config);
     ]
 
 let test_driver_unknown_phase_searcher () =
@@ -146,7 +147,7 @@ let test_driver_unknown_phase_searcher () =
        ignore
          (run_driver
             ~config:
-              Driver.(
+              Session.(
                 with_search (fun s -> { s with phase_searcher = "zigzag" }) default_config)
             ());
        false
@@ -187,7 +188,7 @@ let test_run_pool_merges () =
     (List.for_all
        (fun (_, r) ->
          pool.Driver.merged_coverage
-         >= Coverage.count (Executor.coverage r.Driver.executor))
+         >= Coverage.count (Executor.coverage r.Session.executor))
        pool.Driver.runs);
   Alcotest.(check bool) "bug found once across runs" true
     (List.length pool.Driver.merged_bugs = 1);
@@ -228,11 +229,11 @@ let test_testcase_generation_replays () =
 let test_driver_on_registry_target () =
   let t = Option.get (Registry.by_name "tcpdump") in
   let report =
-    Driver.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:40_000
+    Session.run (Registry.program t) ~seed:(Registry.default_seed t) ~deadline:40_000
   in
   Alcotest.(check bool) "tcpdump covers blocks" true
-    (Coverage.count (Executor.coverage report.Driver.executor) > 30);
-  Alcotest.(check int) "tcpdump has no bugs" 0 (List.length report.Driver.bugs)
+    (Coverage.count (Executor.coverage report.Session.executor) > 30);
+  Alcotest.(check int) "tcpdump has no bugs" 0 (List.length report.Session.bugs)
 
 let suite =
   [

@@ -4,7 +4,7 @@
    every pbse-report/1 byte alone; regenerate a golden only for a change
    meant to alter search behaviour, and say so in its commit. *)
 
-module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Registry = Pbse_targets.Registry
 module Telemetry = Pbse_telemetry.Telemetry
 module Report = Pbse_telemetry.Report
@@ -17,16 +17,16 @@ let golden_path name = Filename.concat "golden" (name ^ ".json")
    registry: spans other suites registered in the process-global one
    must not leak into the report. *)
 let report_json t =
-  let config = Driver.default_config in
+  let config = Session.default_config in
   let runtime =
-    Pbse.Runtime.create
+    Pbse_session.Runtime.create
       ~registry:(Telemetry.Registry.create ~enabled:true ())
-      ~rng_seed:config.Driver.rng_seed ~inject:config.Driver.robust.Driver.inject
-      ~max_strikes:config.Driver.robust.Driver.max_strikes
-      ~prefix_cap:config.Driver.solver.Driver.prefix_cap ()
+      ~rng_seed:config.Session.rng_seed ~inject:config.Session.robust.Session.inject
+      ~max_strikes:config.Session.robust.Session.max_strikes
+      ~prefix_cap:config.Session.solver.Session.prefix_cap ()
   in
   let report =
-    Driver.run ~config ~runtime (Registry.program t) ~seed:(Registry.seed t "small")
+    Session.run ~config ~runtime (Registry.program t) ~seed:(Registry.seed t "small")
       ~deadline
   in
   let meta =
@@ -36,7 +36,7 @@ let report_json t =
       ("deadline", string_of_int deadline);
     ]
   in
-  Report.to_json (Driver.run_report ~meta report)
+  Report.to_json (Session.run_report ~meta report)
 
 let test_reports_match_goldens () =
   List.iter

@@ -8,7 +8,7 @@ module Pathcond = Pbse_pathcond.Pathcond
 module Subsume = Pbse_pathcond.Subsume
 module Loop_summary = Pbse_pathcond.Loop_summary
 module Loop = Pbse_ir.Loop
-module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Executor = Pbse_exec.Executor
 module Coverage = Pbse_exec.Coverage
 module Bug = Pbse_exec.Bug
@@ -263,31 +263,31 @@ let equiv_src =
 let equiv_seed () = Bytes.of_string "\005A"
 
 let pathcond_off =
-  Driver.(
+  Session.(
     with_pathcond
       (fun _ -> { subsumption = false; loop_summaries = false })
       default_config)
 
 let run_equiv config =
-  Driver.run ~config (Pbse_lang.Frontend.compile equiv_src) ~seed:(equiv_seed ())
+  Session.run ~config (Pbse_lang.Frontend.compile equiv_src) ~seed:(equiv_seed ())
     ~deadline:100_000
 
-let bug_set (r : Driver.report) =
+let bug_set (r : Session.report) =
   List.sort_uniq compare
-    (List.map (fun ((b : Bug.t), _) -> (b.Bug.gid, b.Bug.kind)) r.Driver.bugs)
+    (List.map (fun ((b : Bug.t), _) -> (b.Bug.gid, b.Bug.kind)) r.Session.bugs)
 
 let test_summary_equivalent_to_unrolling () =
-  let on = run_equiv Driver.default_config in
+  let on = run_equiv Session.default_config in
   let off = run_equiv pathcond_off in
-  let st_on = Executor.stats on.Driver.executor in
-  let st_off = Executor.stats off.Driver.executor in
+  let st_on = Executor.stats on.Session.executor in
+  let st_off = Executor.stats off.Session.executor in
   Alcotest.(check bool) "summaries fired" true (st_on.Executor.loop_summaries > 0);
   Alcotest.(check int) "disabled run applied none" 0 st_off.Executor.loop_summaries;
   Alcotest.(check int) "disabled run consulted no cores" 0
     (st_off.Executor.interpolant_hits + st_off.Executor.interpolant_misses);
   Alcotest.(check int) "identical coverage"
-    (Coverage.count (Executor.coverage off.Driver.executor))
-    (Coverage.count (Executor.coverage on.Driver.executor));
+    (Coverage.count (Executor.coverage off.Session.executor))
+    (Coverage.count (Executor.coverage on.Session.executor));
   Alcotest.(check bool) "found the guarded bug" true (bug_set on <> []);
   Alcotest.(check (list (pair int string))) "identical bug set" (bug_set off)
     (bug_set on)
@@ -297,15 +297,15 @@ let test_summary_covers_zero_iteration_side () =
      on the seed path, yet the two configurations still agree *)
   let seed = Bytes.of_string "\000A" in
   let run config =
-    Driver.run ~config
+    Session.run ~config
       (Pbse_lang.Frontend.compile equiv_src)
       ~seed ~deadline:100_000
   in
-  let on = run Driver.default_config in
+  let on = run Session.default_config in
   let off = run pathcond_off in
   Alcotest.(check int) "identical coverage"
-    (Coverage.count (Executor.coverage off.Driver.executor))
-    (Coverage.count (Executor.coverage on.Driver.executor));
+    (Coverage.count (Executor.coverage off.Session.executor))
+    (Coverage.count (Executor.coverage on.Session.executor));
   Alcotest.(check (list (pair int string))) "identical bug set" (bug_set off)
     (bug_set on)
 

@@ -2,7 +2,7 @@
    escalation, quarantine, and crash-freedom of the supervised driver
    under injected faults (docs/robustness.md). *)
 
-module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Registry = Pbse_targets.Registry
 module Executor = Pbse_exec.Executor
 module Bug = Pbse_exec.Bug
@@ -283,12 +283,12 @@ let plan_of spec =
 
 let run_injected ?(deadline = 120_000) ?(max_strikes = 2) spec =
   let config =
-    Driver.(
+    Session.(
       with_robust
         (fun r -> { r with inject = plan_of spec; max_strikes })
         default_config)
   in
-  Driver.run ~config (mini_program ()) ~seed:(mini_seed ()) ~deadline
+  Session.run ~config (mini_program ()) ~seed:(mini_seed ()) ~deadline
 
 let test_driver_quarantines_under_total_solver_failure () =
   (* every solver query gives up: lazily forked seedStates can never
@@ -296,70 +296,70 @@ let test_driver_quarantines_under_total_solver_failure () =
      must still terminate normally *)
   let report = run_injected ~deadline:60_000 "seed=3,solver=1.0" in
   Alcotest.(check bool) "injected unknowns recorded" true
-    (Fault.count report.Driver.faults Fault.Solver_injected > 0);
-  Alcotest.(check bool) "states quarantined" true (report.Driver.quarantined > 0);
+    (Fault.count report.Session.faults Fault.Solver_injected > 0);
+  Alcotest.(check bool) "states quarantined" true (report.Session.quarantined > 0);
   Alcotest.(check bool) "strikes recorded" true
-    (report.Driver.strikes >= 2 * report.Driver.quarantined)
+    (report.Session.strikes >= 2 * report.Session.quarantined)
 
 let test_driver_contains_concolic_drops () =
   (* dropped lazy-fork seedStates are contained faults: the run completes
      and records every drop *)
   let report = run_injected ~deadline:60_000 "seed=4,concolic=0.6" in
   Alcotest.(check bool) "drops recorded" true
-    (Fault.count report.Driver.faults Fault.Concolic_injected > 0);
+    (Fault.count report.Session.faults Fault.Concolic_injected > 0);
   (* same plan, same drops: the concolic channel is deterministic too *)
   let again = run_injected ~deadline:60_000 "seed=4,concolic=0.6" in
   Alcotest.(check int) "deterministic drop count"
-    (Fault.count report.Driver.faults Fault.Concolic_injected)
-    (Fault.count again.Driver.faults Fault.Concolic_injected)
+    (Fault.count report.Session.faults Fault.Concolic_injected)
+    (Fault.count again.Session.faults Fault.Concolic_injected)
 
 let test_shared_quarantine_across_runs () =
   (* one quarantine threaded through consecutive runs (as run_pool does):
      per-run reports are deltas and site records carry over *)
   let q = Quarantine.create ~max_strikes:2 () in
   let config =
-    Driver.(
+    Session.(
       with_robust (fun r -> { r with inject = plan_of "seed=3,solver=1.0" }) default_config)
   in
   let run () =
-    Driver.run ~config ~quarantine:q (mini_program ()) ~seed:(mini_seed ())
+    Session.run ~config ~quarantine:q (mini_program ()) ~seed:(mini_seed ())
       ~deadline:60_000
   in
   let a = run () in
   let b = run () in
-  Alcotest.(check bool) "first run evicts" true (a.Driver.quarantined > 0);
+  Alcotest.(check bool) "first run evicts" true (a.Session.quarantined > 0);
   (* per-run values are deltas: they sum to the quarantine's lifetime totals *)
   Alcotest.(check int) "evictions sum to total"
     (Quarantine.evicted q)
-    (a.Driver.quarantined + b.Driver.quarantined);
+    (a.Session.quarantined + b.Session.quarantined);
   Alcotest.(check int) "strikes sum to total"
     (Quarantine.total_strikes q)
-    (a.Driver.strikes + b.Driver.strikes);
+    (a.Session.strikes + b.Session.strikes);
   (* recorded sites lower the limit, so the second epoch never needs more
      strikes per eviction than the first *)
   Alcotest.(check bool) "site records persist" true
-    (b.Driver.quarantined = 0
-    || b.Driver.strikes * a.Driver.quarantined
-       <= a.Driver.strikes * b.Driver.quarantined)
+    (b.Session.quarantined = 0
+    || b.Session.strikes * a.Session.quarantined
+       <= a.Session.strikes * b.Session.quarantined)
 
 let test_driver_report_deterministic_under_injection () =
   let run () = run_injected "seed=9,solver=0.25,abort=0.15,mem=0.1" in
   let a = run () in
   let b = run () in
-  Alcotest.(check string) "same fault summary" (Fault.summary a.Driver.faults)
-    (Fault.summary b.Driver.faults);
+  Alcotest.(check string) "same fault summary" (Fault.summary a.Session.faults)
+    (Fault.summary b.Session.faults);
   Alcotest.(check bool) "same coverage samples" true
-    (a.Driver.coverage_samples = b.Driver.coverage_samples);
-  Alcotest.(check int) "same quarantine count" a.Driver.quarantined
-    b.Driver.quarantined;
-  Alcotest.(check int) "same strike count" a.Driver.strikes b.Driver.strikes;
+    (a.Session.coverage_samples = b.Session.coverage_samples);
+  Alcotest.(check int) "same quarantine count" a.Session.quarantined
+    b.Session.quarantined;
+  Alcotest.(check int) "same strike count" a.Session.strikes b.Session.strikes;
   Alcotest.(check bool) "same bugs" true
-    (List.map (fun (bug, p) -> (Bug.to_string bug, p)) a.Driver.bugs
-    = List.map (fun (bug, p) -> (Bug.to_string bug, p)) b.Driver.bugs)
+    (List.map (fun (bug, p) -> (Bug.to_string bug, p)) a.Session.bugs
+    = List.map (fun (bug, p) -> (Bug.to_string bug, p)) b.Session.bugs)
 
 let test_driver_bug_dedup_survives_faults () =
   let report = run_injected ~deadline:200_000 "seed=5,solver=0.2,abort=0.1" in
-  let keys = List.map (fun (bug, _) -> Bug.dedup_key bug) report.Driver.bugs in
+  let keys = List.map (fun (bug, _) -> Bug.dedup_key bug) report.Session.bugs in
   let uniq = List.sort_uniq compare keys in
   Alcotest.(check int) "no duplicate bug keys" (List.length uniq) (List.length keys)
 
@@ -374,20 +374,20 @@ let sweep_plan () =
 
 let test_registry_sweep_never_crashes () =
   (* acceptance criterion: under a plan forcing solver Unknowns and
-     executor aborts, Driver.run completes on every bundled target *)
+     executor aborts, Session.run completes on every bundled target *)
   let plan = sweep_plan () in
-  let config = Driver.(with_robust (fun r -> { r with inject = plan }) default_config) in
+  let config = Session.(with_robust (fun r -> { r with inject = plan }) default_config) in
   let injected = ref 0 in
   List.iter
     (fun t ->
       let report =
-        Driver.run ~config (Registry.program t) ~seed:(Registry.default_seed t)
+        Session.run ~config (Registry.program t) ~seed:(Registry.default_seed t)
           ~deadline:30_000
       in
       injected :=
         !injected
-        + Fault.count report.Driver.faults Fault.Solver_injected
-        + Fault.count report.Driver.faults Fault.Exec_injected_abort;
+        + Fault.count report.Session.faults Fault.Solver_injected
+        + Fault.count report.Session.faults Fault.Exec_injected_abort;
       (* coverage samples stay monotone in time and coverage *)
       let rec monotone = function
         | (t1, c1) :: ((t2, c2) :: _ as rest) ->
@@ -397,7 +397,7 @@ let test_registry_sweep_never_crashes () =
       Alcotest.(check bool)
         (t.Registry.name ^ " coverage monotone")
         true
-        (monotone report.Driver.coverage_samples))
+        (monotone report.Session.coverage_samples))
     Registry.all;
   Alcotest.(check bool) "plan actually fired" true (!injected > 0)
 

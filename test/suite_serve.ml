@@ -1,12 +1,13 @@
 (* pbse-serve/2 tests: strict envelope parsing and frame round-trips,
-   transport edges (endpoint parsing, self-pipe wakeup, bounded reads),
-   token-bucket admission under an injected clock, store-file residue
-   persistence, and an in-process server exercised end-to-end — v2 and
-   v1 byte-identity, progress frames, structured errors, quota
-   exhaustion, oversized lines, mid-request disconnects and the
-   client-side v1 fallback against a fake pre-v2 server. *)
+   parser robustness against mutated input, transport edges (endpoint
+   parsing, self-pipe wakeup, bounded reads), token-bucket admission
+   under an injected clock, store-file residue persistence, and an
+   in-process server exercised end-to-end — byte-identity, progress
+   frames, overlapping identical campaigns, structured errors, quota
+   exhaustion, oversized lines and mid-request disconnects. *)
 
 module Driver = Pbse.Driver
+module Session = Pbse_session.Session
 module Serve = Pbse.Serve
 module Session_store = Pbse_session.Session_store
 module Telemetry = Pbse_telemetry.Telemetry
@@ -15,6 +16,7 @@ module Json = Pbse_telemetry.Json
 module Protocol = Pbse_serve.Protocol
 module Transport = Pbse_serve.Transport
 module Admission = Pbse_serve.Admission
+module Registry = Pbse_targets.Registry
 
 let mini_program = Suite_core.mini_program
 let pool_seeds = Suite_campaign.pool_seeds
@@ -40,7 +42,7 @@ let expect_error label expected line =
   match Protocol.parse_request line with
   | Ok _ -> Alcotest.failf "%s: parsed but should be %s" label
               (Protocol.error_label expected)
-  | Error (_, code, _) ->
+  | Error (code, _) ->
     Alcotest.(check string) label
       (Protocol.error_label expected)
       (Protocol.error_label code)
@@ -61,10 +63,8 @@ let test_envelope_roundtrip () =
     }
   in
   match Protocol.parse_request (Protocol.render_request req) with
-  | Error (_, _, e) -> Alcotest.failf "render/parse roundtrip failed: %s" e
-  | Ok (version, parsed) ->
-    Alcotest.(check bool) "parsed as v2" true (version = Protocol.V2);
-    Alcotest.(check bool) "roundtrips every field" true (parsed = req)
+  | Error (_, e) -> Alcotest.failf "render/parse roundtrip failed: %s" e
+  | Ok parsed -> Alcotest.(check bool) "roundtrips every field" true (parsed = req)
 
 let test_envelope_strictness () =
   expect_error "malformed JSON" Protocol.Bad_json "{\"target\": ";
@@ -82,45 +82,20 @@ let test_envelope_strictness () =
   expect_error "missing params" Protocol.Bad_request "{\"pbse\": 2}";
   expect_error "missing target" Protocol.Bad_request
     "{\"pbse\": 2, \"params\": {}}";
+  expect_error "zero deadline" Protocol.Bad_request
+    "{\"pbse\": 2, \"params\": {\"target\": \"t\", \"deadline\": 0}}";
+  expect_error "negative deadline" Protocol.Bad_request
+    "{\"pbse\": 2, \"params\": {\"target\": \"t\", \"deadline\": -5}}";
+  expect_error "zero jobs" Protocol.Bad_request
+    "{\"pbse\": 2, \"params\": {\"target\": \"t\", \"jobs\": 0}}";
+  expect_error "zero lease" Protocol.Bad_request
+    "{\"pbse\": 2, \"params\": {\"target\": \"t\", \"lease\": 0}}";
+  expect_error "no version member" Protocol.Unsupported_version
+    "{\"target\": \"t\", \"deadline\": 42}";
   expect_error "future version" Protocol.Unsupported_version
     "{\"pbse\": 3, \"params\": {\"target\": \"t\"}}";
   expect_error "non-integer version" Protocol.Bad_request
     "{\"pbse\": \"two\", \"params\": {\"target\": \"t\"}}"
-
-let test_v1_lenient_compat () =
-  (* the deprecated one-liner: unknown fields ignored, defaults filled *)
-  match
-    Protocol.parse_request
-      "{\"target\": \"mini\", \"deadline\": 42, \"mystery\": true}"
-  with
-  | Error (_, _, e) -> Alcotest.failf "v1 parse failed: %s" e
-  | Ok (version, req) ->
-    Alcotest.(check bool) "parsed as v1" true (version = Protocol.V1);
-    Alcotest.(check string) "target" "mini" req.Protocol.rq_target;
-    Alcotest.(check int) "deadline" 42 req.Protocol.rq_deadline;
-    Alcotest.(check bool) "no progress in v1" false req.Protocol.rq_progress;
-    (* and the v1 error is attributed to v1, so a broken v1 client gets
-       a v1-framed answer *)
-    (match Protocol.parse_request "{\"deadline\": 9}" with
-     | Error (Some Protocol.V1, Protocol.Bad_request, _) -> ()
-     | _ -> Alcotest.fail "v1 missing-target error not attributed to v1")
-
-let test_downgrade () =
-  let line = Protocol.render_request { base_request with rq_lease = 2 } in
-  match Protocol.downgrade_request line with
-  | None -> Alcotest.fail "v2 line did not downgrade"
-  | Some v1 -> (
-    match Protocol.parse_request v1 with
-    | Ok (Protocol.V1, req) ->
-      Alcotest.(check string) "target survives" "mini" req.Protocol.rq_target;
-      Alcotest.(check int) "lease survives" 2 req.Protocol.rq_lease;
-      (* progress streaming has no v1 spelling *)
-      Alcotest.(check bool) "progress refuses to downgrade" true
-        (Protocol.downgrade_request
-           (Protocol.render_request { base_request with rq_progress = true })
-        = None)
-    | Ok (Protocol.V2, _) -> Alcotest.fail "downgraded line still v2"
-    | Error (_, _, e) -> Alcotest.failf "downgraded line unparsable: %s" e)
 
 let test_frame_roundtrip () =
   let check_frame label frame =
@@ -153,6 +128,78 @@ let test_frame_roundtrip () =
   Alcotest.(check bool) "retry_after rendered as integer" true
     (let json = Result.get_ok (Json.parse (String.trim line)) in
      Option.bind (Json.member "retry_after" json) Json.to_int = Some 5)
+
+(* Every line from outside the process must end in [Ok] or a structured
+   [Error]: mutate well-formed requests and frames by truncation,
+   single-bit flips and byte insertion, and check neither parser
+   raises. *)
+let prop_parsers_never_raise =
+  let open QCheck.Gen in
+  let word = string_size ~gen:printable (int_range 0 12) in
+  let request =
+    map
+      (fun ((id, client, progress, target), (deadline, jobs, lease, share)) ->
+        Protocol.render_request
+          {
+            Protocol.rq_id = id;
+            rq_client = client;
+            rq_progress = progress;
+            rq_target = target;
+            rq_deadline = deadline;
+            rq_pool_scheduler = "";
+            rq_scheduler = None;
+            rq_jobs = jobs;
+            rq_lease = lease;
+            rq_share = share;
+          })
+      (pair
+         (quad (opt word) (opt word) bool word)
+         (quad (int_range 1 1_000_000) (opt (int_range 1 8)) (int_range 1 4) bool))
+  in
+  let frame =
+    map
+      (fun (id, n, msg, kind) ->
+        String.trim
+          (Protocol.render_frame
+             (match kind with
+              | 0 -> Protocol.Report { id; bytes = n }
+              | 1 -> Protocol.Progress { id; round = n }
+              | _ ->
+                Protocol.Error_frame
+                  {
+                    id;
+                    code = Protocol.Over_capacity;
+                    message = msg;
+                    retry_after = Some n;
+                  })))
+      (quad (opt word) (int_range 0 100_000) word (int_range 0 2))
+  in
+  let mutate s =
+    let len = String.length s in
+    oneof
+      [
+        map (fun k -> String.sub s 0 k) (int_range 0 len);
+        map
+          (fun (i, b) ->
+            String.mapi
+              (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
+              s)
+          (pair (int_range 0 (max 0 (len - 1))) (int_range 0 7));
+        map
+          (fun (i, c) -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (len - i))
+          (pair (int_range 0 len) char);
+      ]
+  in
+  let rec mutations n s = if n = 0 then return s else mutate s >>= mutations (n - 1) in
+  let line =
+    pair (oneof [ request; frame ]) (int_range 1 3) >>= fun (s, n) -> mutations n s
+  in
+  QCheck.Test.make ~count:2000 ~name:"protocol parsers never raise on mutated lines"
+    (QCheck.make ~print:String.escaped line)
+    (fun line ->
+      (match Protocol.parse_request line with Ok _ | Error _ -> ());
+      (match Protocol.parse_frame line with Ok _ | Error _ -> ());
+      true)
 
 (* --- transport --------------------------------------------------------------- *)
 
@@ -332,9 +379,14 @@ let temp_socket () =
   path
 
 let lookup name =
-  if name = "mini" then Some (mini_program (), pool_seeds ()) else None
+  if name = "mini" then Some (mini_program (), pool_seeds ())
+  else
+    Option.map
+      (fun t -> (Registry.program t, List.map snd t.Registry.seeds))
+      (Registry.by_name name)
 
-let with_server ?store_file ?max_inflight ?quota_burst ?quota_refill f =
+let with_server ?(lookup = lookup) ?store_file ?max_inflight ?quota_burst
+    ?quota_refill f =
   let socket = temp_socket () in
   let endpoint = Transport.Unix_socket socket in
   let control = Transport.control_create () in
@@ -366,27 +418,26 @@ let with_server ?store_file ?max_inflight ?quota_burst ?quota_refill f =
   in
   (result, Option.get !stats_cell)
 
-let local_json () =
+let local_json ?(target = "mini") ?(deadline = deadline) () =
   (* same recipe as the server: a fresh runtime over a private enabled
      registry, so spans registered by other suites in the process-global
      registry don't leak into the baseline *)
-  let config = Driver.default_config in
+  let config = Session.default_config in
   let runtime =
-    Pbse.Runtime.create
+    Pbse_session.Runtime.create
       ~registry:(Pbse_telemetry.Telemetry.Registry.create ~enabled:true ())
-      ~rng_seed:config.Driver.rng_seed
-      ~inject:config.Driver.robust.Driver.inject
-      ~max_strikes:config.Driver.robust.Driver.max_strikes
-      ~prefix_cap:config.Driver.solver.Driver.prefix_cap ()
+      ~rng_seed:config.Session.rng_seed
+      ~inject:config.Session.robust.Session.inject
+      ~max_strikes:config.Session.robust.Session.max_strikes
+      ~prefix_cap:config.Session.solver.Session.prefix_cap ()
   in
-  let pool =
-    Driver.run_pool ~runtime (mini_program ()) ~seeds:(pool_seeds ()) ~deadline
-  in
+  let prog, seeds = Option.get (lookup target) in
+  let pool = Driver.run_pool ~runtime prog ~seeds ~deadline in
   Report.to_json
     (Driver.pool_run_report
        ~meta:
          [
-           ("target", "mini");
+           ("target", target);
            ("seed", "pool");
            ("deadline", string_of_int deadline);
          ]
@@ -406,7 +457,7 @@ let expect_body label expected = function
   | Error e ->
     Alcotest.failf "%s failed: %s: %s" label e.Serve.err_code e.Serve.err_message
 
-let test_serve_v2_v1_identity_and_progress () =
+let test_serve_identity_progress_and_overlap () =
   let expected = local_json () in
   let ((), stats) =
     with_server (fun endpoint ->
@@ -420,20 +471,74 @@ let test_serve_v2_v1_identity_and_progress () =
         Alcotest.(check bool) "saw progress frames" true (!rounds <> []);
         Alcotest.(check bool) "rounds count up from 1" true
           (List.rev !rounds = List.init (List.length !rounds) (fun i -> i + 1));
-        (* v2 envelope, warm: identical bytes, no progress frames *)
-        expect_body "v2 response" expected
-          (Serve.request ~connect:endpoint (v2_line ~id:"t2" ()));
-        (* deprecated v1 one-liner, same bytes *)
-        expect_body "v1 response" expected
-          (Serve.request ~connect:endpoint
-             (Printf.sprintf "{\"target\": \"mini\", \"deadline\": %d}" deadline)))
+        (* warm: identical bytes, no progress frames *)
+        expect_body "warm response" expected
+          (Serve.request ~connect:endpoint (v2_line ~id:"t2" ())))
   in
-  Alcotest.(check int) "three clients" 3 stats.Serve.sv_clients;
-  Alcotest.(check int) "three requests served" 3 stats.Serve.sv_requests;
+  Alcotest.(check int) "two clients" 2 stats.Serve.sv_clients;
+  Alcotest.(check int) "two requests served" 2 stats.Serve.sv_requests;
   Alcotest.(check int) "no errors" 0 stats.Serve.sv_errors;
-  (* requests 2 and 3 were served warm from the residue cache *)
-  Alcotest.(check bool) "warm requests hit the store" true
-    (stats.Serve.sv_store_hits > 0)
+  Alcotest.(check bool) "warm request hit the store" true
+    (stats.Serve.sv_store_hits > 0);
+  (* two clients send the same campaign at once to a fresh server, and
+     both must answer the uninterrupted bytes. The target lookup, which
+     each handler makes before it consults the store, holds the first
+     request until the second arrives. The second then misses the store
+     and starts its campaign; the first is handed the runtime lock at
+     the latest by the next thread tick (50 ms) and misses too, because
+     a half-hour gif2tiff campaign runs longer than that. So both run
+     cold, their rounds interleaved on the shared pool and store. *)
+  let target = "gif2tiff" and deadline = 60_000 in
+  let expected = local_json ~target ~deadline () in
+  let m = Mutex.create () and both_arrived = Condition.create () in
+  let arrived = ref 0 in
+  let barrier_lookup name =
+    Mutex.protect m (fun () ->
+        incr arrived;
+        Condition.broadcast both_arrived;
+        while !arrived < 2 do
+          Condition.wait both_arrived m
+        done);
+    lookup name
+  in
+  let line id =
+    Protocol.render_request
+      {
+        base_request with
+        Protocol.rq_id = Some id;
+        rq_progress = true;
+        rq_target = target;
+        rq_deadline = deadline;
+      }
+  in
+  let ((), stats) =
+    with_server ~lookup:barrier_lookup (fun endpoint ->
+        let client id =
+          let rounds = ref 0 in
+          let result = ref None in
+          let t =
+            Thread.create
+              (fun () ->
+                result :=
+                  Some
+                    (Serve.request ~connect:endpoint
+                       ~on_progress:(fun _ -> incr rounds)
+                       (line id)))
+              ()
+          in
+          (t, rounds, result)
+        in
+        let a = client "a" and b = client "b" in
+        List.iter
+          (fun (label, (t, rounds, result)) ->
+            Thread.join t;
+            expect_body (label ^ " overlapping response") expected
+              (Option.get !result);
+            Alcotest.(check bool) (label ^ " ran its campaign") true (!rounds > 0))
+          [ ("a", a); ("b", b) ])
+  in
+  Alcotest.(check int) "both overlapping requests served" 2 stats.Serve.sv_requests;
+  Alcotest.(check int) "no errors when overlapping" 0 stats.Serve.sv_errors
 
 let expect_code label expected = function
   | Ok _ -> Alcotest.failf "%s unexpectedly succeeded" label
@@ -453,6 +558,9 @@ let test_serve_structured_errors () =
         expect_code "future version" "unsupported-version"
           (Serve.request ~connect:endpoint
              "{\"pbse\": 3, \"params\": {\"target\": \"mini\"}}");
+        expect_code "flat request without a version" "unsupported-version"
+          (Serve.request ~connect:endpoint
+             (Printf.sprintf "{\"target\": \"mini\", \"deadline\": %d}" deadline));
         expect_code "unknown target" "unknown-target"
           (Serve.request ~connect:endpoint
              "{\"pbse\": 2, \"params\": {\"target\": \"nosuch\"}}");
@@ -470,7 +578,7 @@ let test_serve_structured_errors () =
         expect_body "pool healthy after errors" (local_json ())
           (Serve.request ~connect:endpoint (v2_line ())))
   in
-  Alcotest.(check int) "errors counted" 7 stats.Serve.sv_errors;
+  Alcotest.(check int) "errors counted" 8 stats.Serve.sv_errors;
   Alcotest.(check int) "one success" 1 stats.Serve.sv_requests
 
 let test_serve_quota_rejection () =
@@ -542,51 +650,12 @@ let test_serve_store_file_restart () =
   Sys.remove store_file;
   try Sys.remove (store_file ^ ".bak") with Sys_error _ -> ()
 
-(* A fake pre-v2 server: speaks only the v1 one-liner. The v2 client
-   must notice the v1 error to its envelope, downgrade, and succeed. *)
-let test_client_v1_fallback () =
-  let socket = temp_socket () in
-  let endpoint = Transport.Unix_socket socket in
-  let listen_fd = Transport.listen endpoint in
-  let body = "{\"schema\":\"pbse-report/1\",\"fake\":1}" in
-  let server =
-    Thread.create
-      (fun () ->
-        (* serve exactly two connections, v1-only *)
-        for _ = 1 to 2 do
-          let fd, _ = Unix.accept listen_fd in
-          let rd = Transport.reader fd in
-          (match Transport.read_line rd with
-           | Ok line ->
-             let reply =
-               match Json.parse line with
-               | Ok json
-                 when Option.bind (Json.member "target" json) Json.to_str
-                      <> None ->
-                 Protocol.render_v1_ok_header (String.length body) ^ body
-               | _ -> Protocol.render_v1_error "request needs a \"target\" field"
-             in
-             ignore (Unix.write_substring fd reply 0 (String.length reply))
-           | Error _ -> ());
-          Unix.close fd
-        done)
-      ()
-  in
-  let result = Serve.request ~connect:endpoint (v2_line ()) in
-  Thread.join server;
-  Transport.close_listener endpoint listen_fd;
-  (match result with
-   | Ok got -> Alcotest.(check string) "fallback served the v1 body" body got
-   | Error e ->
-     Alcotest.failf "fallback failed: %s: %s" e.Serve.err_code e.Serve.err_message)
-
 let suite =
   [
     Alcotest.test_case "v2 envelope roundtrip" `Quick test_envelope_roundtrip;
     Alcotest.test_case "v2 strict parse edges" `Quick test_envelope_strictness;
-    Alcotest.test_case "v1 lenient compat parse" `Quick test_v1_lenient_compat;
-    Alcotest.test_case "v2 -> v1 downgrade" `Quick test_downgrade;
     Alcotest.test_case "response frame roundtrip" `Quick test_frame_roundtrip;
+    QCheck_alcotest.to_alcotest prop_parsers_never_raise;
     Alcotest.test_case "endpoint parsing" `Quick test_endpoint_parsing;
     Alcotest.test_case "self-pipe wakeup" `Quick test_self_pipe_wakeup;
     Alcotest.test_case "bounded reader" `Quick test_bounded_reader;
@@ -594,12 +663,11 @@ let suite =
     Alcotest.test_case "admission in-flight cap" `Quick test_admission_inflight_cap;
     Alcotest.test_case "store residue persistence" `Quick
       test_store_residue_persistence;
-    Alcotest.test_case "serve v2/v1 identity + progress" `Slow
-      test_serve_v2_v1_identity_and_progress;
+    Alcotest.test_case "serve identity + progress + overlap" `Slow
+      test_serve_identity_progress_and_overlap;
     Alcotest.test_case "serve structured errors" `Slow test_serve_structured_errors;
     Alcotest.test_case "serve quota rejection" `Slow test_serve_quota_rejection;
     Alcotest.test_case "serve mid-request disconnect" `Slow
       test_serve_mid_request_disconnect;
     Alcotest.test_case "serve store-file restart" `Slow test_serve_store_file_restart;
-    Alcotest.test_case "client v1 fallback" `Quick test_client_v1_fallback;
   ]

@@ -77,7 +77,7 @@ let test_campaign_cold_vs_warm_identical () =
   Alcotest.(check bool) "jobs=4 hit the same memo" true
     (Session_store.hits store > hits_before);
   (* a config change misses: no stale campaign can be served *)
-  let config = Driver.with_rng_seed 7 Driver.default_config in
+  let config = Session.with_rng_seed 7 Session.default_config in
   let other, _ = pool_json_with ~config ~store ~jobs:1 () in
   Alcotest.(check bool) "different config is a different campaign" true
     (other <> warm)
@@ -93,10 +93,10 @@ let test_seedstate_sharing_deterministic () =
   let run ~share =
     let config =
       if share then
-        Driver.with_search
-          (fun s -> { s with Driver.share_seed_states = true })
-          Driver.default_config
-      else Driver.default_config
+        Session.with_search
+          (fun s -> { s with Session.share_seed_states = true })
+          Session.default_config
+      else Session.default_config
     in
     Driver.run_pool ~config ~jobs:1 (mini_program ()) ~seeds ~deadline:150_000
   in
