@@ -87,7 +87,7 @@ let () =
    close every row: single runs are always jobs=1, lease=1 and
    unmeasured (0), the pool --jobs sweep fills in the timing and
    contention columns, the crash-resume drill the durability ones, and
-   the session-store and serve drills the session-layer ones (including
+   the serve drill the session-layer ones (including
    admission rejections and warm-restart store reloads). The contention
    and session columns come from the pool-report diagnostics and the
    store/server stats, which are wall-clock-side and deliberately absent
@@ -1009,53 +1009,6 @@ let crash_resume_bench ?(jobs = 2) ?(lease = 2) () =
        (%d bytes)\n%!"
       (String.length base_json)
 
-(* --- Session store: cold vs warm campaigns ---------------------------------------- *)
-
-(* The session-layer fast path: the same campaign run twice against one
-   Session_store — the second run must be served from the campaign memo
-   (store hits > 0), produce byte-identical report JSON, and cost less
-   wall-clock than the cold bootstrap (docs/architecture.md). *)
-let session_store_bench () =
-  heading "Session store: cold vs warm campaign (byte-identity and wall-clock)";
-  let t = target "dwarfdump" in
-  let prog = Registry.program t in
-  let seeds = List.map snd t.Registry.seeds in
-  let deadline = ten_hours in
-  let store = Pbse_session.Session_store.create () in
-  let campaign label =
-    Telemetry.set_enabled true;
-    let t0 = Unix.gettimeofday () in
-    let pool =
-      Driver.run_pool ~store ~target:t.Registry.name prog ~seeds ~deadline
-    in
-    let wall_ms = int_of_float (1000. *. (Unix.gettimeofday () -. t0)) in
-    Telemetry.set_enabled false;
-    Printf.printf "  ... %s campaign done (%d ms, %d store hit(s))\n%!" label
-      wall_ms
-      (Pbse_session.Session_store.hits store);
-    (pool, wall_ms, Report.to_json (Driver.pool_run_report pool))
-  in
-  let cold, cold_ms, cold_json = campaign "cold" in
-  let warm, warm_ms, warm_json = campaign "warm" in
-  if warm_json <> cold_json then begin
-    prerr_endline "warm campaign report diverged from the cold run";
-    exit 1
-  end;
-  let hits = Pbse_session.Session_store.hits store in
-  let evictions = Pbse_session.Session_store.evictions store in
-  if hits = 0 then begin
-    prerr_endline "warm campaign was not served from the session store";
-    exit 1
-  end;
-  note_pool_run ~wall_ms:cold_ms ~suite:"session-store"
-    ~name:(t.Registry.name ^ "/cold") ~deadline cold;
-  note_pool_run ~wall_ms:warm_ms ~session_hits:hits ~session_evictions:evictions
-    ~suite:"session-store" ~name:(t.Registry.name ^ "/warm") ~deadline warm;
-  Printf.printf
-    "  warm reuse: %d -> %d ms (%d session hit(s), %d eviction(s)); reports \
-     byte-identical (%d bytes)\n%!"
-    cold_ms warm_ms hits evictions (String.length cold_json)
-
 (* --- Serve: concurrent socket campaigns ------------------------------------------- *)
 
 (* The server drill the CI serve-smoke job also drives end-to-end with
@@ -1237,6 +1190,7 @@ let serve_bench () =
   end;
   note_pool_run ~jobs:2 ~wall_ms:(max a_ms b_ms)
     ~session_hits:stats.Pbse.Serve.sv_store_hits
+    ~session_evictions:stats.Pbse.Serve.sv_store_evictions
     ~serve_clients:stats.Pbse.Serve.sv_clients
     ~serve_rejections:quota_stats.Pbse.Serve.sv_rejections
     ~store_reloads:warm_stats.Pbse.Serve.sv_store_reloads ~suite:"serve"
@@ -1386,7 +1340,6 @@ let () =
    | "pathcond-ab" -> pathcond_ab ()
    | "pool-jobs" -> pool_jobs_bench ~lease ()
    | "crash-resume" -> crash_resume_bench ~jobs ()
-   | "session-store" -> session_store_bench ()
    | "serve" -> serve_bench ()
    | "smoke" -> smoke ~jobs ()
    | "bechamel" -> bechamel ()
@@ -1403,13 +1356,12 @@ let () =
      pathcond_ab ();
      pool_jobs_bench ();
      crash_resume_bench ();
-     session_store_bench ();
      serve_bench ();
      bechamel ()
    | other ->
      Printf.eprintf
        "unknown benchmark %s (try \
-        table1|table2|table3|fig1|fig4|fig5|ablate|robust|pool|pathcond-ab|pool-jobs|crash-resume|session-store|serve|smoke|bechamel|all)\n"
+        table1|table2|table3|fig1|fig4|fig5|ablate|robust|pool|pathcond-ab|pool-jobs|crash-resume|serve|smoke|bechamel|all)\n"
        other;
      exit 1);
   flush_runs ()

@@ -327,9 +327,9 @@ let run_cmd =
   in
   let share_arg =
     let doc =
-      "With --pool: share seedStates and solver prefix residue across the \
-       campaign's sessions (a fork point another seed already published is \
-       scheduled once campaign-wide). Per-run reports are only \
+      "With --pool: share seedStates across the campaign's sessions (a \
+       fork point another seed of the same campaign already published is \
+       scheduled once). Per-run reports are only \
        jobs-invariant with sharing off; the merged campaign report stays \
        deterministic at --jobs 1."
     in
@@ -760,10 +760,6 @@ let serve_cmd =
     let doc = "Worker domains in the server's shared campaign pool." in
     Arg.(value & opt int 2 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
-  let store_cap_arg =
-    let doc = "Live sessions kept in the server's session store (LRU)." in
-    Arg.(value & opt (some int) None & info [ "store-cap" ] ~docv:"N" ~doc)
-  in
   let listen_arg =
     let doc = "Also listen on TCP $(docv) (e.g. 127.0.0.1:7199)." in
     Arg.(
@@ -790,7 +786,7 @@ let serve_cmd =
     in
     Arg.(value & opt int 0 & info [ "quota" ] ~docv:"N" ~doc)
   in
-  let run socket listen jobs store_cap store_file max_inflight quota =
+  let run socket listen jobs store_file max_inflight quota =
     if jobs < 1 then begin
       prerr_endline "--jobs must be at least 1";
       1
@@ -826,7 +822,7 @@ let serve_cmd =
              (List.map Pbse_serve.Transport.endpoint_to_string endpoints))
           jobs;
         let stats =
-          Pbse.Serve.serve ~endpoints ~jobs ?store_cap ?store_file
+          Pbse.Serve.serve ~endpoints ~jobs ?store_file
             ~max_inflight ~quota_burst:quota
             ~quota_refill:(float_of_int quota /. 60.0)
             ~control ~lookup ()
@@ -848,11 +844,14 @@ let serve_cmd =
          "Campaign server speaking pbse-serve/2 over a Unix-domain socket \
           and optionally TCP (--listen). pbse-report/1 responses \
           byte-identical to `run --pool --report' on every transport; \
-          admission control via --max-inflight/--quota; --store-file keeps \
-          the response cache warm across restarts. Stops immediately on SIGTERM/SIGINT.")
+          admission control via --max-inflight/--quota. Repeated requests \
+          are answered from a cache of the last 64 rendered responses; \
+          nothing else outlives a campaign (a \"share\": true campaign \
+          shares seedStates only among its own seeds). --store-file keeps the \
+          response cache warm across restarts. Stops immediately on \
+          SIGTERM/SIGINT.")
     Term.(
-      const run $ socket_arg $ listen_arg $ jobs_arg $ store_cap_arg
-      $ store_file_arg $ max_inflight_arg $ quota_arg)
+      const run $ socket_arg $ listen_arg $ jobs_arg $ store_file_arg $ max_inflight_arg $ quota_arg)
 
 let request_cmd =
   let json_arg =

@@ -2,10 +2,10 @@
     seed pool.
 
     Generic over both the policy ({!Pool_scheduler.t}) and the engine: a
-    caller-supplied [turn] callback runs one seed for one budgeted turn
-    and reports what happened. The loop owns all {!Seed_slot} counter
-    updates (turns, granted, dwell, new_blocks, retired); the callback
-    only executes.
+    caller-supplied [run] callback runs one seed for one budgeted turn
+    and [merge] reports what happened. The loop owns all {!Seed_slot}
+    counter updates (turns, granted, dwell, new_blocks, retired); the
+    callbacks only execute and merge.
 
     [Pbse.Driver.run_pool] supplies a callback that opens a resumable
     driver session per seed on its first turn and steps it on later
@@ -16,16 +16,6 @@ type outcome = {
   new_blocks : int; (* blocks the turn added to the merged coverage set *)
   finished : bool; (* the seed's engine drained; no more turns wanted *)
 }
-
-val run :
-  sched:Pool_scheduler.t ->
-  deadline:int ->
-  (Seed_slot.t -> budget:int -> outcome) ->
-  int
-(** [run ~sched ~deadline turn] grants turns until the budget is spent
-    or every slot is retired, and returns the total virtual time spent.
-    Zero-budget shares and turns that make no progress retire their slot
-    (never the campaign), so the loop always terminates. *)
 
 val run_rounds :
   ?on_round:(int -> unit) ->
@@ -51,11 +41,13 @@ val run_rounds :
     order}: [merge] turns each [run] result into an {!outcome}
     (performing any shared-state merging — coverage union, bug harvest —
     as a side effect), after which the loop updates the slot's counters
-    and retires or credits it exactly as {!run} would. Because plans,
-    clamps and merges never observe intra-round outcomes or completion
-    order, the spent total, every slot counter and every merge effect
-    are identical for every [jobs] value, including 1 — the
-    byte-identical pool-report contract (docs/parallelism.md).
+    and credits or retires it: a finished turn or one that spent nothing
+    retires the slot (never the campaign), so the loop always
+    terminates. Because plans, clamps and merges never observe
+    intra-round outcomes or completion order, the spent total, every
+    slot counter and every merge effect are identical for every [jobs]
+    value, including 1 — the byte-identical pool-report contract
+    (docs/parallelism.md).
 
     [lease] (default 1, clamped to at least 1) coarsens work units: each
     planned turn becomes up to [lease] consecutive same-budget sub-turns

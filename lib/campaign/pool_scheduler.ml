@@ -13,21 +13,15 @@ type stats = {
 
 type t = {
   name : string;
-  select : remaining:int -> turn option;
   plan : remaining:int -> turn list;
   credit : Seed_slot.t -> spent:int -> new_blocks:int -> unit;
   retire : Seed_slot.t -> unit;
   drained : unit -> bool;
   active : unit -> Seed_slot.t list;
   stats : stats;
-  state : unit -> (string * int) list;
-  restore_state : (string * int) list -> unit;
 }
 
 let stats_create () = { turns = 0; rotations = 0; retirements = 0 }
-
-(* stateless policies: nothing beyond the live-slot set and [stats] *)
-let no_state = ((fun () -> []), fun _ -> ())
 
 (* Campaign telemetry lives in the registry the factory was given, so a
    pool registry never aliases the per-session ones. *)
@@ -82,13 +76,6 @@ let smallest_first ?registry ~time_period:_ slot_list =
   let stats = stats_create () in
   {
     name = "smallest-first";
-    select =
-      (fun ~remaining ->
-        if Array.length !slots = 0 then None
-        else begin
-          note_turn ins stats;
-          Some { slot = !slots.(0); budget = remaining / Array.length !slots }
-        end);
     (* One round: every live slot, in pool order, with an equal share of
        the budget the round started with. The plan depends only on the
        live-slot set and [remaining], never on the outcomes of turns
@@ -118,8 +105,6 @@ let smallest_first ?registry ~time_period:_ slot_list =
     drained = (fun () -> Array.length !slots = 0);
     active = (fun () -> Array.to_list !slots);
     stats;
-    state = fst no_state;
-    restore_state = snd no_state;
   }
 
 (* Fair rotation: every seed gets [time_period]-sized turns in pool
@@ -129,24 +114,9 @@ let smallest_first ?registry ~time_period:_ slot_list =
 let round_robin ?registry ~time_period slot_list =
   let ins = instruments ?registry () in
   let slots = ref (Array.of_list slot_list) in
-  let pos = ref 0 in
   let stats = stats_create () in
-  let wrap () =
-    if !pos >= Array.length !slots then begin
-      pos := 0;
-      if Array.length !slots > 0 then note_rotation ins stats
-    end
-  in
   {
     name = "round-robin";
-    select =
-      (fun ~remaining:_ ->
-        if Array.length !slots = 0 then None
-        else begin
-          note_turn ins stats;
-          let s = !slots.(!pos) in
-          Some { slot = s; budget = time_period + Seed_slot.carry s }
-        end);
     (* One round = one full rotation: every live slot once, in pool
        order, with the fair period plus its rolled-forward carry. *)
     plan =
@@ -161,22 +131,14 @@ let round_robin ?registry ~time_period slot_list =
                  { slot = s; budget = time_period + Seed_slot.carry s })
                !slots)
         end);
-    credit =
-      (fun _s ~spent:_ ~new_blocks:_ ->
-        incr pos;
-        wrap ());
+    credit = (fun _s ~spent:_ ~new_blocks:_ -> ());
     retire =
       (fun s ->
         note_retirement ins stats;
-        array_remove slots s;
-        wrap ());
+        array_remove slots s);
     drained = (fun () -> Array.length !slots = 0);
     active = (fun () -> Array.to_list !slots);
     stats;
-    state = (fun () -> [ ("pos", !pos) ]);
-    restore_state =
-      (fun kvs ->
-        match List.assoc_opt "pos" kvs with Some p -> pos := p | None -> ());
   }
 
 (* Greedy reallocation: the next turn goes to the seed with the best
@@ -197,19 +159,9 @@ let coverage_greedy ?registry ~time_period slot_list =
   in
   {
     name = "coverage-greedy";
-    select =
-      (fun ~remaining:_ ->
-        if Array.length !slots = 0 then None
-        else begin
-          note_turn ins stats;
-          let best =
-            Array.fold_left (fun acc s -> if better s acc then s else acc) !slots.(0) !slots
-          in
-          Some { slot = best; budget = (best.Seed_slot.turns + 1) * time_period }
-        end);
-    (* One round: every live slot, most-productive ratio first (same
-       comparison as [select]), each budgeted by its own turn count. The
-       ordering uses only counters frozen at the round barrier. *)
+    (* One round: every live slot, most-productive ratio first, each
+       budgeted by its own turn count. The ordering uses only counters
+       frozen at the round barrier. *)
     plan =
       (fun ~remaining:_ ->
         let live = Array.copy !slots in
@@ -228,8 +180,6 @@ let coverage_greedy ?registry ~time_period slot_list =
     drained = (fun () -> Array.length !slots = 0);
     active = (fun () -> Array.to_list !slots);
     stats;
-    state = fst no_state;
-    restore_state = snd no_state;
   }
 
 let default = "smallest-first"

@@ -1,12 +1,12 @@
 (** Seed-pool scheduling policies behind one interface.
 
-    The seed-level mirror of {!Pbse_sched.Scheduler}: the campaign loop
-    repeatedly asks [select] for the next seed turn and its budget, runs
-    that seed's engine for the turn, then reports back — [credit] when
-    the seed stays schedulable, [retire] when it leaves the pool (engine
+    The seed-level mirror of {!Pbse_sched.Scheduler}: each round the
+    campaign loop ({!Campaign.run_rounds}) asks [plan] for one turn per
+    live seed, runs them, then reports back per seed — [credit] when the
+    seed stays schedulable, [retire] when it leaves the pool (engine
     drained, zero budget, or no progress). Policies read the counters on
     {!Seed_slot} (the campaign loop owns them) and are deterministic:
-    identical call sequences yield identical selections, which the
+    identical call sequences yield identical plans, which the
     byte-identical aggregate-report test relies on. *)
 
 type turn = {
@@ -16,23 +16,20 @@ type turn = {
 
 type stats = {
   mutable turns : int; (* turns granted *)
-  mutable rotations : int; (* full rotations (policy-specific) *)
+  mutable rotations : int; (* full rotations: round-robin counts one per
+                              planned round, the other policies none *)
   mutable retirements : int; (* slots retired from the rotation *)
 }
 
 type t = {
   name : string;
-  select : remaining:int -> turn option;
-      (** Next seed to run and its budget, given the campaign's
-          remaining budget; [None] when no slots remain. *)
   plan : remaining:int -> turn list;
       (** The whole next {e round} at once: one turn per live slot, in
           policy order, budgets fixed from the state at the barrier.
           Because the plan never depends on the outcomes of turns inside
           the round, the turns can run concurrently (one domain each)
           and merge deterministically — every [--jobs] width sees the
-          same plans. An empty list means the pool is drained. Use
-          either [select] or [plan] on a given instance, not both. *)
+          same plans. An empty list means the pool is drained. *)
   credit : Seed_slot.t -> spent:int -> new_blocks:int -> unit;
       (** The turn ended and the seed stays schedulable (under
           [smallest-first] the seed's single share is spent, so credit
@@ -42,14 +39,6 @@ type t = {
   active : unit -> Seed_slot.t list;
       (** Slots still schedulable, in policy order. *)
   stats : stats;
-  state : unit -> (string * int) list;
-      (** Policy-internal position beyond [stats] and the live-slot set
-          (campaign snapshots persist it): [round-robin] exposes its
-          rotation cursor, the other policies are stateless. *)
-  restore_state : (string * int) list -> unit;
-      (** Reinstate a {!state} capture on a freshly built instance over
-          the same live slots (campaign resume). Unknown keys are
-          ignored. *)
 }
 
 val smallest_first :

@@ -3,7 +3,7 @@
     A snapshot is the durable record of a seed-pool campaign at a round
     barrier: slot counters and remaining budgets, each opened session's
     granted-turn history (the {e event ledger}), the merged-bug dedup
-    keys, scheduler position, pool telemetry counters and the
+    keys, scheduler counters, pool telemetry counters and the
     checkpoint/degradation bookkeeping. Engine state (searcher queues,
     symbolic stores, expression arenas) is deliberately {e not}
     serialised — the engine is deterministic in virtual time, so
@@ -11,9 +11,12 @@
     session's ledger against the same seed, then verifies the replayed
     clock and coverage against the values recorded here.
 
-    The on-disk form is a [pbse-snapshot/1] JSON document whose payload
-    is guarded by an FNV-1a checksum; writes are atomic (tmp + rename)
-    and rotate the previous checkpoint to [FILE.bak] as a fallback.
+    The on-disk form is a [pbse-snapshot/1] document in the
+    {!Pbse_telemetry.Sealed_file} envelope (payload guarded by an FNV-1a
+    checksum); writes are atomic (tmp + rename) and rotate the previous
+    checkpoint to [FILE.bak] as a fallback. Field decoding is lenient: a
+    missing member decodes to its zero value, so snapshots that carry
+    members this version no longer writes still load.
     This module is engine-agnostic (ints and strings only), keeping
     [pbse_campaign] free of any engine dependency. *)
 
@@ -62,7 +65,6 @@ type t = {
   sn_sched_turns : int;
   sn_sched_rotations : int;
   sn_sched_retirements : int;
-  sn_sched_state : (string * int) list; (* Pool_scheduler.t.state *)
   sn_pool_faults : (string * int) list; (* pool fault log, label -> count *)
   sn_opened : int list; (* slot ordinals in session-open order *)
   sn_counters : (string * int) list; (* pool registry counters *)
@@ -78,7 +80,7 @@ val to_string : t -> string
     payload). Deterministic: [of_string] followed by [to_string]
     reproduces the bytes exactly. *)
 
-type error =
+type error = Pbse_telemetry.Sealed_file.error =
   | Corrupt of string (* unparsable, truncated, or failed its checksum *)
   | Version_mismatch of string (* a schema other than {!schema} *)
 

@@ -5,8 +5,7 @@
     open/step/finish lifecycle. The driver runs it over a seed pool:
     {!run_pool} drives the pool through seed-level scheduling policies
     ({!Pbse_campaign.Pool_scheduler}) built on resumable sessions —
-    checkpointed, resumable, optionally warmed by a
-    {!Pbse_session.Session_store} and shared-seedState-aware — and
+    checkpointed, resumable and shared-seedState-aware — and
     {!pool_run_report} renders the aggregate into the same
     [pbse-report/1] document single runs use. *)
 
@@ -115,25 +114,6 @@ val checkpoint :
     crash-resume bench. [note_ms] receives each write's serialisation
     cost in milliseconds. *)
 
-val campaign_fingerprint :
-  ?config:config ->
-  ?scheduler:string ->
-  ?lease:int ->
-  ?registry_enabled:bool ->
-  target:string ->
-  seeds:bytes list ->
-  deadline:int ->
-  unit ->
-  string
-(** The digest under which {!run_pool} memoises (and the serve layer
-    persists) a campaign: target, config fingerprint, pool policy,
-    lease, deadline, telemetry enablement and the seed digests
-    (size-ordered). [jobs] is deliberately excluded — reports are
-    jobs-invariant, so any width may reuse any width's campaign.
-    Defaults mirror {!run_pool}'s ([registry_enabled] — whether the
-    campaign's runtime registry records telemetry — defaults to true,
-    the serve layer's case). *)
-
 val run_pool :
   ?config:config ->
   ?scheduler:string ->
@@ -144,7 +124,7 @@ val run_pool :
   ?resume:Pbse_campaign.Snapshot.t * string option ->
   ?preload_faults:(Pbse_robust.Fault.kind * string) list ->
   ?pool:Pbse_campaign.Domain_pool.t ->
-  ?store:pool_report Session_store.t ->
+  ?store:Session_store.t ->
   ?target:string ->
   ?round_wrap:((unit -> unit) -> unit) ->
   Pbse_ir.Types.program ->
@@ -197,21 +177,16 @@ val run_pool :
     by default the campaign creates and shuts down its own), and
     [round_wrap] brackets each executed round (dispatch through merges)
     — together they let a server multiplex several campaigns onto one
-    shared pool with round-granular fair sharing. [store] memoises the
-    finished campaign's sessions and pool report under a campaign
-    fingerprint ([target], config fingerprint, policy, lease, deadline,
-    telemetry enablement and the seed digests; [jobs] deliberately
-    excluded — reports are jobs-invariant), and an identical later call
-    is served from the store: live sessions are re-finished instead of
-    re-running concolic bootstrap, with byte-identical report JSON.
-    Checkpointing, resuming or preloading faults disables the memo for
-    that call (durability features describe one concrete execution).
-    With [config.search.share_seed_states] on, every session of the
-    campaign publishes and consults a shared seedState table (the
-    store's campaign-spanning one when [store] is given): fork points
-    already published by another session are scheduled once
-    campaign-wide, and finished sessions' solver prefix residue seeds
-    fresh ones. *)
+    shared pool with round-granular fair sharing. With
+    [config.search.share_seed_states] on, every session of the campaign
+    publishes and consults one seedState table created for this call:
+    fork points already published by another session of the same
+    campaign are scheduled once. Nothing is shared across calls, so a
+    campaign's report never depends on what ran before it.
+
+    [store] and [target] are ignored. They remain in the signature only
+    because the repository benchmark ([perfbench/pbench.ml]) passes
+    them; they go at its next change. *)
 
 val load_snapshot :
   path:string -> (Pbse_campaign.Snapshot.t * string option, string) result

@@ -68,7 +68,7 @@ let arbiter_wrap arb f =
 (* --- campaign execution ----------------------------------------------------
 
    The CLI's exact `run --pool --report` recipe, against the server's
-   shared pool and store: default config (plus the request's phase
+   shared pool: default config (plus the request's phase
    scheduler and sharing switch), a fresh runtime per request over a
    private telemetry-enabled registry — concurrent requests share no
    registry — and the same report metadata the CLI writes. *)
@@ -87,6 +87,32 @@ let pool_scheduler_of (req : Protocol.request) =
   if req.Protocol.rq_pool_scheduler = "" then Pool_scheduler.default
   else req.Protocol.rq_pool_scheduler
 
+(* The residue cache key: everything a campaign's report depends on —
+   target, config fingerprint, pool policy, lease, deadline and the seed
+   digests (size-ordered). [jobs] is deliberately absent: reports are
+   jobs-invariant, so any width may reuse any width's response. The
+   "1" records that serve campaigns run with telemetry enabled; it keeps
+   the digest equal to the one earlier store files were written under. *)
+let campaign_fingerprint (req : Protocol.request) ~seeds =
+  let ordered =
+    List.sort (fun a b -> Int.compare (Bytes.length a) (Bytes.length b)) seeds
+  in
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun part ->
+      Buffer.add_string buf part;
+      Buffer.add_char buf '\n')
+    ([
+       req.Protocol.rq_target;
+       Session.config_fingerprint (config_of_request req);
+       pool_scheduler_of req;
+       string_of_int (max 1 req.Protocol.rq_lease);
+       string_of_int req.Protocol.rq_deadline;
+       "1";
+     ]
+    @ List.map (fun seed -> Digest.to_hex (Digest.bytes seed)) ordered);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let validate (req : Protocol.request) =
   let sched = pool_scheduler_of req in
   if not (List.mem sched Pool_scheduler.names) then
@@ -103,7 +129,7 @@ let validate (req : Protocol.request) =
             (String.concat ", " Pbse_sched.Scheduler.names) )
     | _ -> Ok ()
 
-let run_request ~pool ~store ~arb ~jobs ?on_round (req : Protocol.request) prog
+let run_request ~pool ~arb ~jobs ?on_round (req : Protocol.request) prog
     seeds =
   let config = config_of_request req in
   let runtime =
@@ -120,8 +146,7 @@ let run_request ~pool ~store ~arb ~jobs ?on_round (req : Protocol.request) prog
   match
     Driver.run_pool ~config ~scheduler:(pool_scheduler_of req) ~runtime
       ~jobs:(Option.value req.Protocol.rq_jobs ~default:jobs)
-      ~lease:req.Protocol.rq_lease ~pool ~store ~target:req.Protocol.rq_target
-      ~round_wrap prog ~seeds ~deadline:req.Protocol.rq_deadline
+      ~lease:req.Protocol.rq_lease ~pool ~round_wrap prog ~seeds ~deadline:req.Protocol.rq_deadline
   with
   | report ->
     let meta =
@@ -148,7 +173,7 @@ let write_all fd s =
 
 type server = {
   srv_pool : Domain_pool.t;
-  srv_store : Driver.pool_report Session_store.t;
+  srv_store : Session_store.t;
   srv_arb : arbiter;
   srv_admission : Admission.t;
   srv_jobs : int;
@@ -217,12 +242,7 @@ let handle srv fd =
             ( Protocol.Unknown_target,
               "unknown target " ^ req.Protocol.rq_target )
         | Some (prog, seeds) -> (
-          let fingerprint =
-            Driver.campaign_fingerprint ~config:(config_of_request req)
-              ~scheduler:(pool_scheduler_of req) ~lease:req.Protocol.rq_lease
-              ~target:req.Protocol.rq_target ~seeds
-              ~deadline:req.Protocol.rq_deadline ()
-          in
+          let fingerprint = campaign_fingerprint req ~seeds in
           match Session_store.find_residue srv.srv_store ~fingerprint with
           | Some body -> respond_body ~id body
           | None ->
@@ -243,8 +263,7 @@ let handle srv fd =
               end
             in
             (match
-               run_request ~pool:srv.srv_pool ~store:srv.srv_store
-                 ~arb:srv.srv_arb ~jobs:srv.srv_jobs ~on_round req prog seeds
+               run_request ~pool:srv.srv_pool ~arb:srv.srv_arb ~jobs:srv.srv_jobs ~on_round req prog seeds
              with
              | Error e -> fail e
              | Ok body ->
@@ -272,7 +291,7 @@ let handle srv fd =
 
 (* --- server ------------------------------------------------------------------ *)
 
-let serve ~endpoints ?(jobs = 2) ?store_cap ?store_file ?(max_inflight = 0)
+let serve ~endpoints ?(jobs = 2) ?store_file ?(max_inflight = 0)
     ?(quota_burst = 0) ?(quota_refill = 0.0) ?control ~lookup () =
   if endpoints = [] then invalid_arg "Serve.serve: no endpoints";
   (* progress frames are written to clients that may be gone; a SIGPIPE
@@ -293,7 +312,7 @@ let serve ~endpoints ?(jobs = 2) ?store_cap ?store_file ?(max_inflight = 0)
     |> List.rev
   in
   let registry = Telemetry.Registry.create ~enabled:true () in
-  let store = Session_store.create ?cap:store_cap ~registry () in
+  let store = Session_store.create ~registry () in
   (match store_file with
    | Some path when Sys.file_exists path ->
      (* a corrupt or unreadable store file degrades to a cold boot *)

@@ -11,9 +11,12 @@
     multiplexed onto the shared pool with fair-share round scheduling,
     and streams back a [pbse-report/1] document byte-identical to what
     [pbse run TARGET --pool --report] writes for the same parameters —
-    over every transport. Repeated requests hit the store's campaign
-    memo; with [store_file], rendered responses also persist across a
-    server restart (reloaded on boot, so a deploy keeps the cache warm).
+    over every transport. A repeated request is answered from the
+    store's cache of rendered responses, keyed by the campaign's
+    fingerprint; every campaign that does run starts from nothing left
+    over by another (its seedState share lives and dies with it). With
+    [store_file], rendered responses also persist across a server
+    restart (reloaded on boot, so a deploy keeps the cache warm).
 
     The wire protocol lives in {!Pbse_serve.Protocol}: requests are
     typed v2 envelopes, answered with structured error codes or a report
@@ -35,7 +38,6 @@ type stats = {
 val serve :
   endpoints:Pbse_serve.Transport.endpoint list ->
   ?jobs:int ->
-  ?store_cap:int ->
   ?store_file:string ->
   ?max_inflight:int ->
   ?quota_burst:int ->
@@ -52,8 +54,7 @@ val serve :
     [store_file]), release the domain pool, unlink Unix sockets and
     return the lifetime {!stats}.
 
-    [jobs] (default 2) sizes the shared domain pool; [store_cap] bounds
-    the session store. [store_file] names a [pbse-store/1] file:
+    [jobs] (default 2) sizes the shared domain pool. [store_file] names a [pbse-store/1] file:
     rendered response bodies are reloaded from it at boot (counted in
     [sv_store_reloads]; a corrupt file degrades to a cold boot) and
     checkpointed after every successful request and at shutdown.

@@ -231,12 +231,12 @@ let interval_length_for config prog ~seed =
 
 (* --- cross-session sharing ------------------------------------------------- *)
 
-(* The share table a campaign pool (or a session store) threads through
-   every [open_session]: seedStates are published under their
-   path-prefix key so identical fork points reached by several seeds are
-   scheduled once, and solver prefix-context residue (arena-free model
-   hints keyed by the structural fingerprint of the path) carries
-   witnesses from finished sessions into fresh ones. Everything behind
+(* The share table a campaign pool threads through every
+   [open_session]: seedStates are published under their path-prefix key
+   so identical fork points reached by several seeds are scheduled once,
+   and solver prefix-context residue (arena-free model hints keyed by
+   the structural fingerprint of the path) published into it seeds
+   sessions opened afterwards. Everything behind
    the mutex is plain ints/lists, so concurrent opens on pool domains
    are safe; the publication order still depends on turn timing, which
    is why sharing is config-gated off by default (byte-identity across

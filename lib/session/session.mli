@@ -1,6 +1,6 @@
 (** The session layer — one seed's resumable pbSE engine, extracted
-    from the driver so sessions can outlive a campaign, be cached in a
-    {!Session_store}, and be multiplexed by a server.
+    from the driver so a campaign can grant it turn-granular budget and
+    a server can multiplex several campaigns' sessions on one pool.
 
     Pipeline per session: concolic execution of the seed (gathering
     BBVs and seedStates), phase division with trap identification, then
@@ -127,8 +127,8 @@ val config_of_kvs : (string * string) list -> (config, string) result
 
 val config_fingerprint : config -> string
 (** Hex digest of {!config_to_kvs}; two configs fingerprint equal iff
-    every field renders equal. {!Session_store} keys cache entries on
-    it, so a config change can never alias a cached session. *)
+    every field renders equal. The server's response cache keys on it,
+    so a config change can never alias a cached response. *)
 
 val interval_length_for :
   config -> Pbse_ir.Types.program -> seed:bytes -> int
@@ -139,16 +139,18 @@ val interval_length_for :
 (** {1 Cross-session sharing} *)
 
 type share
-(** The table a campaign pool (or a {!Session_store}) threads through
-    every {!open_session} when [search.share_seed_states] is on:
-    seedStates are published under their path-prefix key — the
-    chronological block-entry trace up to the fork point, folded with
-    the fork's global block id — so identical fork points reached by
-    several seeds are scheduled once campaign-wide, and solver
-    prefix-context residue (arena-free model hints keyed by the
-    structural fingerprint of the path, {!Pbse_smt.Prefix_ctx.export})
-    carries witnesses from finished sessions into fresh ones. All
-    mutation is mutex-guarded; safe to share across pool domains. *)
+(** The table a campaign pool threads through every {!open_session}
+    when [search.share_seed_states] is on (the driver creates one per
+    campaign): seedStates are published under their path-prefix key —
+    the chronological block-entry trace up to the fork point, folded
+    with the fork's global block id — so identical fork points reached
+    by several seeds are scheduled once campaign-wide. The share also
+    holds solver prefix-context residue (arena-free model hints keyed by
+    the structural fingerprint of the path,
+    {!Pbse_smt.Prefix_ctx.export}) that {!open_session} imports; the
+    campaign driver publishes none, since a per-campaign share has no
+    later session to seed. All mutation is mutex-guarded; safe to share
+    across pool domains. *)
 
 val share_create : unit -> share
 

@@ -1,41 +1,21 @@
 module Telemetry = Pbse_telemetry.Telemetry
 module Json = Pbse_telemetry.Json
+module Sealed_file = Pbse_telemetry.Sealed_file
 
-(* Live sessions are cached under (target, seed digest, config
-   fingerprint); whole campaigns additionally memoise their residue (the
-   caller's aggregate result) under a campaign fingerprint whose members
-   point back into the session table. Eviction is strictly LRU over
-   sessions; a campaign residue is only servable while every member
-   session is still live, so evicting a session invalidates the
-   campaigns that used it. All operations are mutex-guarded — the serve
-   layer hits one store from many client threads. *)
+(* Rendered residues — the final response bytes of finished campaigns —
+   keyed by campaign fingerprint, strictly LRU beyond [max_entries]. Plain
+   strings, so they survive save/load across a server restart. All
+   operations are mutex-guarded: the serve layer hits one store from
+   many client threads. *)
 
-type entry = {
-  e_session : Session.t;
-  mutable e_last : int; (* LRU tick of the last find/put *)
-}
-
-type 'r campaign = {
-  c_members : (string * bytes) list; (* (session key, seed) in run order *)
-  c_residue : 'r;
-}
-
-(* A rendered residue: the final response bytes of a finished campaign,
-   keyed by its campaign fingerprint. Unlike live sessions these are
-   plain strings, so they survive save/load across a server restart. *)
 type rendered = {
   r_body : string;
-  mutable r_last : int; (* shares the store's LRU tick *)
+  mutable r_last : int; (* LRU tick of the last find/put *)
 }
 
-type 'r t = {
+type t = {
   mutex : Mutex.t;
-  sessions : (string, entry) Hashtbl.t;
-  campaigns : (string, 'r campaign) Hashtbl.t;
   residues : (string, rendered) Hashtbl.t;
-  cap : int;
-  residue_cap : int;
-  share : Session.share; (* campaign-spanning seedState/hint share *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -47,22 +27,15 @@ type 'r t = {
   ctr_reloads : Telemetry.counter;
 }
 
-let default_cap = 32
+let max_entries = 64
 
-let create ?(cap = default_cap) ?residue_cap ?registry () =
+let create ?registry () =
   let registry =
     match registry with Some r -> r | None -> Telemetry.Registry.default ()
   in
-  let cap = max 1 cap in
   {
     mutex = Mutex.create ();
-    sessions = Hashtbl.create 64;
-    campaigns = Hashtbl.create 16;
     residues = Hashtbl.create 16;
-    cap;
-    residue_cap =
-      (match residue_cap with Some c -> max 1 c | None -> max 64 (2 * cap));
-    share = Session.share_create ();
     tick = 0;
     hits = 0;
     misses = 0;
@@ -74,132 +47,14 @@ let create ?(cap = default_cap) ?residue_cap ?registry () =
     ctr_reloads = Telemetry.Registry.counter registry "session.store_reloads";
   }
 
-let session_key ~target ~seed ~config_fp =
-  target ^ "|" ^ Digest.to_hex (Digest.bytes seed) ^ "|" ^ config_fp
-
-let touch t e =
+let touch t r =
   t.tick <- t.tick + 1;
-  e.e_last <- t.tick
+  r.r_last <- t.tick
 
-let note_hit t =
-  t.hits <- t.hits + 1;
-  Telemetry.incr t.ctr_hits
-
-let note_miss t =
-  t.misses <- t.misses + 1;
-  Telemetry.incr t.ctr_misses
-
-(* Evict strictly least-recently-used sessions until under cap, and drop
-   every campaign residue that referenced an evicted member (it can no
-   longer be served whole). O(n) scans — the store caps at tens of
-   sessions, not thousands. *)
+(* O(n) victim scans — the store holds tens of entries, not
+   thousands. *)
 let enforce_cap t =
-  while Hashtbl.length t.sessions > t.cap do
-    let victim =
-      Hashtbl.fold
-        (fun key e acc ->
-          match acc with
-          | Some (_, last) when last <= e.e_last -> acc
-          | _ -> Some (key, e.e_last))
-        t.sessions None
-    in
-    match victim with
-    | None -> ()
-    | Some (key, _) ->
-      Hashtbl.remove t.sessions key;
-      t.evictions <- t.evictions + 1;
-      Telemetry.incr t.ctr_evictions;
-      let stale =
-        Hashtbl.fold
-          (fun fp c acc ->
-            if List.exists (fun (k, _) -> k = key) c.c_members then fp :: acc else acc)
-          t.campaigns []
-      in
-      List.iter (Hashtbl.remove t.campaigns) stale
-  done
-
-let find_session t key =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.sessions key with
-      | Some e ->
-        touch t e;
-        note_hit t;
-        Some e.e_session
-      | None ->
-        note_miss t;
-        None)
-
-let put_session_locked t key session =
-  (match Hashtbl.find_opt t.sessions key with
-   | Some e -> touch t e
-   | None ->
-     let e = { e_session = session; e_last = 0 } in
-     touch t e;
-     Hashtbl.replace t.sessions key e);
-  enforce_cap t
-
-let put_session t key session =
-  Mutex.protect t.mutex (fun () -> put_session_locked t key session)
-
-let find_campaign t ~fingerprint =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.campaigns fingerprint with
-      | None ->
-        note_miss t;
-        None
-      | Some c ->
-        let live =
-          List.map
-            (fun (key, seed) ->
-              match Hashtbl.find_opt t.sessions key with
-              | Some e -> Some (seed, e)
-              | None -> None)
-            c.c_members
-        in
-        if List.for_all Option.is_some live then begin
-          let members =
-            List.map
-              (function
-                | Some (seed, e) ->
-                  touch t e;
-                  note_hit t;
-                  (seed, e.e_session)
-                | None -> assert false)
-              live
-          in
-          Some (members, c.c_residue)
-        end
-        else begin
-          (* a member was evicted since; the memo can't be served whole *)
-          Hashtbl.remove t.campaigns fingerprint;
-          note_miss t;
-          None
-        end)
-
-let put_campaign t ~fingerprint ~sessions residue =
-  Mutex.protect t.mutex (fun () ->
-      List.iter (fun (key, _, session) -> put_session_locked t key session) sessions;
-      Hashtbl.replace t.campaigns fingerprint
-        {
-          c_members = List.map (fun (key, seed, _) -> (key, seed)) sessions;
-          c_residue = residue;
-        };
-      (* members evicted while inserting (cap smaller than the campaign)
-         make the memo unservable; drop it rather than cache a stub *)
-      let whole =
-        List.for_all (fun (key, _, _) -> Hashtbl.mem t.sessions key) sessions
-      in
-      if not whole then Hashtbl.remove t.campaigns fingerprint)
-
-(* --- rendered residues (restart-persistent) --------------------------------
-
-   The serve layer records every successful response body here under its
-   campaign fingerprint. Lookups count through the same hit/miss
-   counters as sessions — a residue hit after a restart is exactly the
-   "warm cache survived the deploy" signal the CI drill gates on. *)
-
-let enforce_residue_cap t =
-  while Hashtbl.length t.residues > t.residue_cap do
+  while Hashtbl.length t.residues > max_entries do
     let victim =
       Hashtbl.fold
         (fun fp r acc ->
@@ -220,148 +75,82 @@ let find_residue t ~fingerprint =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.residues fingerprint with
       | Some r ->
-        t.tick <- t.tick + 1;
-        r.r_last <- t.tick;
-        note_hit t;
+        touch t r;
+        t.hits <- t.hits + 1;
+        Telemetry.incr t.ctr_hits;
         Some r.r_body
       | None ->
-        note_miss t;
+        t.misses <- t.misses + 1;
+        Telemetry.incr t.ctr_misses;
         None)
 
 let put_residue_locked t fingerprint body =
   (match Hashtbl.find_opt t.residues fingerprint with
-   | Some r ->
-     t.tick <- t.tick + 1;
-     r.r_last <- t.tick
+   | Some r -> touch t r
    | None ->
-     t.tick <- t.tick + 1;
-     Hashtbl.replace t.residues fingerprint { r_body = body; r_last = t.tick });
-  enforce_residue_cap t
+     let r = { r_body = body; r_last = 0 } in
+     touch t r;
+     Hashtbl.replace t.residues fingerprint r);
+  enforce_cap t
 
 let put_residue t ~fingerprint body =
   Mutex.protect t.mutex (fun () -> put_residue_locked t fingerprint body)
 
-(* --- store files (pbse-store/1) --------------------------------------------
-
-   Same file discipline as Pbse_campaign.Snapshot (which lib/session
-   cannot depend on): a versioned JSON document carrying an FNV-1a-64
-   checksum over the rendered payload, written atomically via tmp +
-   rename with the previous file rotated to [path].bak. *)
+(* --- store files (pbse-store/1) -------------------------------------------- *)
 
 let store_schema = "pbse-store/1"
 
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  Printf.sprintf "fnv1a64:%016Lx" !h
-
-let residues_snapshot t =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.fold (fun fp r acc -> (fp, r.r_last, r.r_body) :: acc) t.residues [])
-  |> List.sort (fun (a, la, _) (b, lb, _) ->
-         match Int.compare la lb with 0 -> String.compare a b | c -> c)
-
 let save t ~path =
   let entries =
-    List.map
-      (fun (fp, _, body) ->
-        Json.Obj [ ("fingerprint", Json.Str fp); ("body", Json.Str body) ])
-      (residues_snapshot t)
+    Mutex.protect t.mutex (fun () ->
+        Hashtbl.fold (fun fp r acc -> (fp, r.r_last, r.r_body) :: acc) t.residues [])
+    |> List.sort (fun (a, la, _) (b, lb, _) ->
+           match Int.compare la lb with 0 -> String.compare a b | c -> c)
+    |> List.map (fun (fp, _, body) ->
+           Json.Obj [ ("fingerprint", Json.Str fp); ("body", Json.Str body) ])
   in
-  let payload = Json.Obj [ ("entries", Json.List entries) ] in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.Str store_schema);
-        ("checksum", Json.Str (fnv1a64 (Json.to_string payload)));
-        ("payload", payload);
-      ]
-  in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string doc);
-      output_char oc '\n');
-  if Sys.file_exists path then begin
-    let bak = path ^ ".bak" in
-    if Sys.file_exists bak then Sys.remove bak;
-    Sys.rename path bak
-  end;
-  Sys.rename tmp path
+  Sealed_file.write_atomic ~path
+    (Sealed_file.seal ~schema:store_schema (Json.Obj [ ("entries", Json.List entries) ]))
 
 let parse_store text =
-  match Json.parse text with
-  | Error e -> Error ("corrupt store file: " ^ e)
-  | Ok json -> (
-    match Option.bind (Json.member "schema" json) Json.to_str with
-    | None -> Error "store file missing \"schema\" field"
-    | Some s when s <> store_schema ->
-      Error (Printf.sprintf "store schema %S (want %S)" s store_schema)
-    | Some _ -> (
-      match
-        ( Option.bind (Json.member "checksum" json) Json.to_str,
-          Json.member "payload" json )
-      with
-      | None, _ -> Error "store file missing \"checksum\" field"
-      | _, None -> Error "store file missing \"payload\" field"
-      | Some recorded, Some payload ->
-        let actual = fnv1a64 (Json.to_string payload) in
-        if recorded <> actual then
-          Error
-            (Printf.sprintf "store checksum mismatch (recorded %s, computed %s)"
-               recorded actual)
-        else
-          let entries =
-            Option.bind (Json.member "entries" payload) Json.to_list
-            |> Option.value ~default:[]
-          in
-          let parsed =
-            List.filter_map
-              (fun e ->
-                match
-                  ( Option.bind (Json.member "fingerprint" e) Json.to_str,
-                    Option.bind (Json.member "body" e) Json.to_str )
-                with
-                | Some fp, Some body -> Some (fp, body)
-                | _ -> None)
-              entries
-          in
-          if List.length parsed <> List.length entries then
-            Error "store file has a malformed entry"
-          else Ok parsed))
+  match Sealed_file.unseal ~schema:store_schema text with
+  | Error (Sealed_file.Corrupt e | Sealed_file.Version_mismatch e) ->
+    Error ("store file: " ^ e)
+  | Ok payload ->
+    let entries =
+      Option.bind (Json.member "entries" payload) Json.to_list
+      |> Option.value ~default:[]
+    in
+    let parsed =
+      List.filter_map
+        (fun e ->
+          match
+            ( Option.bind (Json.member "fingerprint" e) Json.to_str,
+              Option.bind (Json.member "body" e) Json.to_str )
+          with
+          | Some fp, Some body -> Some (fp, body)
+          | _ -> None)
+        entries
+    in
+    if List.length parsed <> List.length entries then
+      Error "store file has a malformed entry"
+    else Ok parsed
 
 let load t ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | text -> (
-    match parse_store text with
-    | Error e -> Error e
-    | Ok entries ->
-      Mutex.protect t.mutex (fun () ->
-          List.iter
-            (fun (fp, body) ->
-              put_residue_locked t fp body;
-              t.reloads <- t.reloads + 1;
-              Telemetry.incr t.ctr_reloads)
-            entries);
-      Ok (List.length entries))
+  match Result.bind (Sealed_file.read_file ~path) parse_store with
+  | Error e -> Error e
+  | Ok entries ->
+    Mutex.protect t.mutex (fun () ->
+        List.iter
+          (fun (fp, body) ->
+            put_residue_locked t fp body;
+            t.reloads <- t.reloads + 1;
+            Telemetry.incr t.ctr_reloads)
+          entries);
+    Ok (List.length entries)
 
-let share t = t.share
 let hits t = Mutex.protect t.mutex (fun () -> t.hits)
 let misses t = Mutex.protect t.mutex (fun () -> t.misses)
 let evictions t = Mutex.protect t.mutex (fun () -> t.evictions)
 let reloads t = Mutex.protect t.mutex (fun () -> t.reloads)
-let size t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.sessions)
 let residue_size t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.residues)

@@ -1,6 +1,7 @@
-(* Campaign layer tests: seed-level scheduling policies and the generic
-   campaign loop (lib/campaign) driven directly, plus Driver.run_pool
-   edge cases and aggregate-report determinism on the mini target. *)
+(* Campaign layer tests: seed-level scheduling policies' round plans and
+   the round-barrier campaign loop (lib/campaign) driven directly at one
+   job, plus Driver.run_pool edge cases, round-robin rotation counting
+   and aggregate-report determinism. *)
 
 module Seed_slot = Pbse_campaign.Seed_slot
 module Pool_scheduler = Pbse_campaign.Pool_scheduler
@@ -18,77 +19,73 @@ let make name slots =
   | Some f -> f ~time_period:1000 slots
   | None -> Alcotest.fail ("unknown pool policy " ^ name)
 
-let select_ordinal ?(remaining = 10_000) sched =
-  match sched.Pool_scheduler.select ~remaining with
-  | Some t -> t.Pool_scheduler.slot.Seed_slot.ordinal
-  | None -> Alcotest.fail "expected a turn"
+let plan_of ?(remaining = 10_000) sched =
+  List.map
+    (fun t -> (t.Pool_scheduler.slot.Seed_slot.ordinal, t.Pool_scheduler.budget))
+    (sched.Pool_scheduler.plan ~remaining)
+
+let head_ordinal sched =
+  match plan_of sched with
+  | (ordinal, _) :: _ -> ordinal
+  | [] -> Alcotest.fail "expected a turn"
+
+let turns_t = Alcotest.(list (pair int int))
 
 (* --- policies -------------------------------------------------------------- *)
 
 let test_smallest_first_equal_share () =
-  let sched = make "smallest-first" [ slot 1; slot 2; slot 3 ] in
-  (* head slot, one third of the remaining budget *)
-  (match sched.Pool_scheduler.select ~remaining:9000 with
-   | Some t ->
-     Alcotest.(check int) "head slot" 1 t.Pool_scheduler.slot.Seed_slot.ordinal;
-     Alcotest.(check int) "equal share" 3000 t.Pool_scheduler.budget;
-     (* one turn per seed: crediting retires the slot *)
-     sched.Pool_scheduler.credit t.Pool_scheduler.slot ~spent:1000 ~new_blocks:0
-   | None -> Alcotest.fail "expected a turn");
-  (* unused budget flows through the shrinking divisor *)
-  (match sched.Pool_scheduler.select ~remaining:8000 with
-   | Some t ->
-     Alcotest.(check int) "next slot" 2 t.Pool_scheduler.slot.Seed_slot.ordinal;
-     Alcotest.(check int) "half of what is left" 4000 t.Pool_scheduler.budget;
-     sched.Pool_scheduler.retire t.Pool_scheduler.slot
-   | None -> Alcotest.fail "expected a turn");
-  Alcotest.(check int) "last slot" 3 (select_ordinal sched);
+  let s1 = slot 1 and s2 = slot 2 in
+  let sched = make "smallest-first" [ s1; s2; slot 3 ] in
+  (* every live slot, pool order, one third of the remaining budget *)
+  Alcotest.check turns_t "equal shares in pool order"
+    [ (1, 3000); (2, 3000); (3, 3000) ]
+    (plan_of ~remaining:9000 sched);
+  (* one turn per seed: crediting retires the slot *)
+  sched.Pool_scheduler.credit s1 ~spent:1000 ~new_blocks:0;
+  sched.Pool_scheduler.retire s2;
   Alcotest.(check int) "retirements counted" 2
-    sched.Pool_scheduler.stats.Pool_scheduler.retirements
+    sched.Pool_scheduler.stats.Pool_scheduler.retirements;
+  (* unused budget flows through the shrinking divisor *)
+  Alcotest.check turns_t "last slot inherits what is left" [ (3, 8000) ]
+    (plan_of ~remaining:8000 sched)
 
 let test_round_robin_carries_unused_budget () =
   let s1 = slot 1 and s2 = slot 2 in
   let sched = make "round-robin" [ s1; s2 ] in
-  (match sched.Pool_scheduler.select ~remaining:10_000 with
-   | Some t ->
-     Alcotest.(check int) "quantum turn" 1000 t.Pool_scheduler.budget;
-     (* the campaign loop owns the counters; emulate a turn that used
-        only 400 of a 1000 grant *)
-     s1.Seed_slot.granted <- 1000;
-     s1.Seed_slot.dwell <- 400;
-     sched.Pool_scheduler.credit s1 ~spent:400 ~new_blocks:1
-   | None -> Alcotest.fail "expected a turn");
-  Alcotest.(check int) "rotation continues" 2 (select_ordinal sched);
+  Alcotest.check turns_t "quantum turns in pool order"
+    [ (1, 1000); (2, 1000) ] (plan_of sched);
+  (* the campaign loop owns the counters; emulate a round in which s1
+     used only 400 of its 1000 grant and s2 used all of it *)
+  s1.Seed_slot.granted <- 1000;
+  s1.Seed_slot.dwell <- 400;
+  sched.Pool_scheduler.credit s1 ~spent:400 ~new_blocks:1;
   s2.Seed_slot.granted <- 1000;
   s2.Seed_slot.dwell <- 1000;
   sched.Pool_scheduler.credit s2 ~spent:1000 ~new_blocks:0;
   (* s1's unused 600 rolls onto its next turn; s2 overshot and gets none *)
-  match sched.Pool_scheduler.select ~remaining:10_000 with
-  | Some t ->
-    Alcotest.(check int) "back to the head" 1 t.Pool_scheduler.slot.Seed_slot.ordinal;
-    Alcotest.(check int) "carry added" 1600 t.Pool_scheduler.budget
-  | None -> Alcotest.fail "expected a turn"
+  Alcotest.check turns_t "carry added" [ (1, 1600); (2, 1000) ] (plan_of sched);
+  (* one rotation per planned round, however many slots it credits *)
+  Alcotest.(check int) "rotations = rounds" 2
+    sched.Pool_scheduler.stats.Pool_scheduler.rotations
 
 let test_coverage_greedy_follows_ratio () =
   let s1 = slot 1 and s2 = slot 2 in
   let sched = make "coverage-greedy" [ s1; s2 ] in
   (* equal ratios: tie to the lower ordinal (the smaller seed) *)
-  Alcotest.(check int) "tie to lower ordinal" 1 (select_ordinal sched);
-  (* s2 earns blocks cheaply, s1 dwells for nothing: s2 wins the next turn *)
+  Alcotest.(check int) "tie to lower ordinal" 1 (head_ordinal sched);
+  (* s2 earns blocks cheaply, s1 dwells for nothing: s2 leads the round *)
   s1.Seed_slot.dwell <- 5000;
   s2.Seed_slot.dwell <- 1000;
   s2.Seed_slot.new_blocks <- 10;
-  Alcotest.(check int) "productive seed wins" 2 (select_ordinal sched);
+  Alcotest.(check int) "productive seed wins" 2 (head_ordinal sched);
   (* budget scales with the slot's own turn count *)
   s2.Seed_slot.turns <- 2;
-  (match sched.Pool_scheduler.select ~remaining:10_000 with
-   | Some t -> Alcotest.(check int) "earned budget" 3000 t.Pool_scheduler.budget
-   | None -> Alcotest.fail "expected a turn");
+  Alcotest.check turns_t "earned budget" [ (2, 3000); (1, 1000) ] (plan_of sched);
   (* a dried-up seed loses the lead *)
   s2.Seed_slot.new_blocks <- 0;
   s2.Seed_slot.dwell <- 20_000;
   s1.Seed_slot.new_blocks <- 3;
-  Alcotest.(check int) "lead changes with the ratio" 1 (select_ordinal sched)
+  Alcotest.(check int) "lead changes with the ratio" 1 (head_ordinal sched)
 
 let test_pool_by_name_covers_names () =
   List.iter
@@ -106,11 +103,19 @@ let test_pool_by_name_covers_names () =
 
 (* --- campaign loop --------------------------------------------------------- *)
 
+(* [Campaign.run_rounds] at one domain, with an outcome-returning turn *)
+let run_rounds ~sched ~deadline turn =
+  Campaign.run_rounds ~sched ~deadline
+    ~jobs:(fun () -> 1)
+    ~run:turn
+    ~merge:(fun _ ~budget:_ outcome -> outcome)
+    ()
+
 let test_campaign_loop_owns_counters () =
   let s1 = slot 1 and s2 = slot 2 in
   let sched = make "round-robin" [ s1; s2 ] in
   let spent =
-    Campaign.run ~sched ~deadline:3000 (fun _slot ~budget ->
+    run_rounds ~sched ~deadline:3000 (fun _slot ~budget ->
         { Campaign.spent = budget; new_blocks = 2; finished = false })
   in
   Alcotest.(check int) "deadline consumed exactly" 3000 spent;
@@ -118,14 +123,16 @@ let test_campaign_loop_owns_counters () =
   Alcotest.(check int) "second seed got one turn" 1 s2.Seed_slot.turns;
   Alcotest.(check int) "dwell tracked" 2000 s1.Seed_slot.dwell;
   Alcotest.(check int) "blocks credited" 4 s1.Seed_slot.new_blocks;
-  Alcotest.(check bool) "nobody retired" false
-    (s1.Seed_slot.retired || s2.Seed_slot.retired)
+  (* round 2 opens with 1000 left: s1's quantum drains it in plan order,
+     so s2's clamped share is zero and skips it out of the rotation *)
+  Alcotest.(check bool) "first seed still live" false s1.Seed_slot.retired;
+  Alcotest.(check bool) "zero share skip-retired" true s2.Seed_slot.retired
 
 let test_campaign_retires_finished_and_stuck () =
   let s1 = slot 1 and s2 = slot 2 in
   let sched = make "round-robin" [ s1; s2 ] in
   let spent =
-    Campaign.run ~sched ~deadline:100_000 (fun slot ~budget:_ ->
+    run_rounds ~sched ~deadline:100_000 (fun slot ~budget:_ ->
         if slot.Seed_slot.ordinal = 1 then
           (* drains on its first turn *)
           { Campaign.spent = 500; new_blocks = 1; finished = true }
@@ -141,7 +148,7 @@ let test_campaign_zero_deadline () =
   let s1 = slot 1 in
   let sched = make "smallest-first" [ s1 ] in
   let spent =
-    Campaign.run ~sched ~deadline:0 (fun _ ~budget:_ ->
+    run_rounds ~sched ~deadline:0 (fun _ ~budget:_ ->
         Alcotest.fail "no turn should be granted")
   in
   Alcotest.(check int) "nothing spent" 0 spent;
@@ -250,6 +257,19 @@ let test_pool_reports_byte_identical () =
         a b)
     Pool_scheduler.names
 
+let test_round_robin_one_rotation_per_round () =
+  (* a round-robin round is one full rotation: the plan counts it, and
+     crediting the round's turns must not count it again *)
+  let t = Option.get (Pbse_targets.Registry.by_name "gif2tiff") in
+  let pool =
+    Driver.run_pool ~scheduler:"round-robin" (Pbse_targets.Registry.program t)
+      ~seeds:(List.map snd t.Pbse_targets.Registry.seeds) ~deadline:60_000
+  in
+  let r = Driver.pool_run_report pool in
+  Alcotest.(check bool) "several rounds ran" true (Report.metric r "pool.rounds" > 1);
+  Alcotest.(check int) "pool.rotations = pool.rounds" (Report.metric r "pool.rounds")
+    (Report.metric r "pool.rotations")
+
 let test_pool_report_document () =
   let pool =
     Driver.run_pool ~scheduler:"coverage-greedy" (mini_program ())
@@ -315,6 +335,8 @@ let suite =
       test_run_pool_schedulers_merge_alike;
     Alcotest.test_case "pool reports byte-identical" `Quick
       test_pool_reports_byte_identical;
+    Alcotest.test_case "round-robin one rotation per round" `Quick
+      test_round_robin_one_rotation_per_round;
     Alcotest.test_case "pool report document" `Quick test_pool_report_document;
     Alcotest.test_case "select_seed tie-breaks smallest" `Quick
       test_select_seed_tie_breaks_smallest;

@@ -3,8 +3,9 @@
    parsing, self-pipe wakeup, bounded reads), token-bucket admission
    under an injected clock, store-file residue persistence, and an
    in-process server exercised end-to-end — byte-identity, progress
-   frames, overlapping identical campaigns, structured errors, quota
-   exhaustion, oversized lines and mid-request disconnects. *)
+   frames, overlapping identical campaigns, history-independent shared
+   campaigns, structured errors, quota exhaustion, oversized lines and
+   mid-request disconnects. *)
 
 module Driver = Pbse.Driver
 module Session = Pbse_session.Session
@@ -329,7 +330,7 @@ let test_admission_inflight_cap () =
 
 let test_store_residue_persistence () =
   let registry () = Telemetry.Registry.create ~enabled:true () in
-  let store : unit Session_store.t = Session_store.create ~registry:(registry ()) () in
+  let store = Session_store.create ~registry:(registry ()) () in
   Session_store.put_residue store ~fingerprint:"fp-1" "body one";
   Session_store.put_residue store ~fingerprint:"fp-2" "body two";
   Alcotest.(check bool) "residue recalled" true
@@ -337,7 +338,7 @@ let test_store_residue_persistence () =
   let path = Filename.temp_file "pbse-test" ".store" in
   Session_store.save store ~path;
   (* a fresh store (a restarted server) reloads both entries *)
-  let reborn : unit Session_store.t = Session_store.create ~registry:(registry ()) () in
+  let reborn = Session_store.create ~registry:(registry ()) () in
   (match Session_store.load reborn ~path with
    | Ok n -> Alcotest.(check int) "two entries reloaded" 2 n
    | Error e -> Alcotest.failf "load failed: %s" e);
@@ -351,25 +352,34 @@ let test_store_residue_persistence () =
   let oc = open_out path in
   output_string oc "{\"schema\": \"pbse-store/1\", \"checksum\": \"fnv1a64:0000000000000000\", \"payload\": {\"entries\": []}}";
   close_out oc;
-  let third : unit Session_store.t = Session_store.create ~registry:(registry ()) () in
+  let third = Session_store.create ~registry:(registry ()) () in
   (match Session_store.load third ~path with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "checksum mismatch accepted");
   Alcotest.(check int) "corrupt load loaded nothing" 0
     (Session_store.residue_size third);
   Sys.remove path;
-  (* residue cap evicts LRU *)
-  let small : unit Session_store.t =
-    Session_store.create ~residue_cap:2 ~registry:(registry ()) ()
-  in
-  Session_store.put_residue small ~fingerprint:"a" "A";
-  Session_store.put_residue small ~fingerprint:"b" "B";
-  ignore (Session_store.find_residue small ~fingerprint:"a");
-  Session_store.put_residue small ~fingerprint:"c" "C";
+  (* the constant cap evicts strictly LRU: fill it, touch the oldest,
+     then one more entry pushes out the least-recently-used *)
+  let full = Session_store.create ~registry:(registry ()) () in
+  let fp i = Printf.sprintf "fp-%d" i in
+  for i = 0 to Session_store.max_entries - 1 do
+    Session_store.put_residue full ~fingerprint:(fp i) (string_of_int i)
+  done;
+  Alcotest.(check int) "cap entries fit" Session_store.max_entries
+    (Session_store.residue_size full);
+  Alcotest.(check int) "no eviction at cap" 0 (Session_store.evictions full);
+  ignore (Session_store.find_residue full ~fingerprint:(fp 0));
+  Session_store.put_residue full ~fingerprint:"one-more" "X";
+  Alcotest.(check int) "one eviction past cap" 1 (Session_store.evictions full);
+  Alcotest.(check int) "still at cap" Session_store.max_entries
+    (Session_store.residue_size full);
   Alcotest.(check bool) "LRU residue evicted" true
-    (Session_store.find_residue small ~fingerprint:"b" = None);
+    (Session_store.find_residue full ~fingerprint:(fp 1) = None);
   Alcotest.(check bool) "touched residue survived" true
-    (Session_store.find_residue small ~fingerprint:"a" = Some "A")
+    (Session_store.find_residue full ~fingerprint:(fp 0) = Some "0");
+  Alcotest.(check bool) "newest residue kept" true
+    (Session_store.find_residue full ~fingerprint:"one-more" = Some "X")
 
 (* --- in-process server ------------------------------------------------------- *)
 
@@ -418,11 +428,15 @@ let with_server ?(lookup = lookup) ?store_file ?max_inflight ?quota_burst
   in
   (result, Option.get !stats_cell)
 
-let local_json ?(target = "mini") ?(deadline = deadline) () =
+let local_json ?(target = "mini") ?(deadline = deadline) ?(share = false) () =
   (* same recipe as the server: a fresh runtime over a private enabled
      registry, so spans registered by other suites in the process-global
      registry don't leak into the baseline *)
-  let config = Session.default_config in
+  let config =
+    Session.with_search
+      (fun s -> { s with Session.share_seed_states = share })
+      Session.default_config
+  in
   let runtime =
     Pbse_session.Runtime.create
       ~registry:(Pbse_telemetry.Telemetry.Registry.create ~enabled:true ())
@@ -432,7 +446,7 @@ let local_json ?(target = "mini") ?(deadline = deadline) () =
       ~prefix_cap:config.Session.solver.Session.prefix_cap ()
   in
   let prog, seeds = Option.get (lookup target) in
-  let pool = Driver.run_pool ~runtime prog ~seeds ~deadline in
+  let pool = Driver.run_pool ~config ~runtime prog ~seeds ~deadline in
   Report.to_json
     (Driver.pool_run_report
        ~meta:
@@ -543,6 +557,36 @@ let test_serve_identity_progress_and_overlap () =
 let expect_code label expected = function
   | Ok _ -> Alcotest.failf "%s unexpectedly succeeded" label
   | Error e -> Alcotest.(check string) label expected e.Serve.err_code
+
+(* A campaign's report must not depend on what ran before it: with
+   seedState sharing on, a campaign after a shorter one over the same
+   seeds must still answer the bytes of a fresh local campaign. (A share
+   spanning campaigns would have the second one drop the fork points the
+   first published, and cover fewer blocks.) Sharing is deterministic at
+   one job, so both requests pin "jobs": 1. *)
+let test_serve_share_history_independent () =
+  let target = "gif2tiff" in
+  let line id deadline =
+    Protocol.render_request
+      {
+        base_request with
+        Protocol.rq_id = Some id;
+        rq_target = target;
+        rq_deadline = deadline;
+        rq_jobs = Some 1;
+        rq_share = true;
+      }
+  in
+  let first = local_json ~target ~deadline:30_000 ~share:true () in
+  let second = local_json ~target ~deadline:60_000 ~share:true () in
+  let ((), _) =
+    with_server (fun endpoint ->
+        expect_body "first shared campaign" first
+          (Serve.request ~connect:endpoint (line "short" 30_000));
+        expect_body "second shared campaign equals a fresh one" second
+          (Serve.request ~connect:endpoint (line "long" 60_000)))
+  in
+  ()
 
 let test_serve_structured_errors () =
   let ((), stats) =
@@ -665,6 +709,8 @@ let suite =
       test_store_residue_persistence;
     Alcotest.test_case "serve identity + progress + overlap" `Slow
       test_serve_identity_progress_and_overlap;
+    Alcotest.test_case "serve share history-independent" `Slow
+      test_serve_share_history_independent;
     Alcotest.test_case "serve structured errors" `Slow test_serve_structured_errors;
     Alcotest.test_case "serve quota rejection" `Slow test_serve_quota_rejection;
     Alcotest.test_case "serve mid-request disconnect" `Slow

@@ -1,86 +1,11 @@
-(* Session-layer tests: strict LRU eviction order in the session store,
-   cold-vs-warm campaign identity through the store's campaign memo, and
-   determinism of cross-seed seedState sharing. *)
+(* Session-layer tests: determinism of cross-seed seedState sharing
+   within one campaign, and the share's prefix-hint table. *)
 
 module Driver = Pbse.Driver
 module Session = Pbse_session.Session
-module Session_store = Pbse_session.Session_store
 module Telemetry = Pbse_telemetry.Telemetry
-module Report = Pbse_telemetry.Report
 
 let mini_program = Suite_core.mini_program
-let pool_seeds = Suite_campaign.pool_seeds
-
-let open_mini seed =
-  Session.open_session (mini_program ()) ~seed ~deadline:5_000
-
-let test_store_lru_eviction_order () =
-  let registry = Telemetry.Registry.create ~enabled:true () in
-  let store : unit Session_store.t =
-    Session_store.create ~cap:2 ~registry ()
-  in
-  let config_fp = Session.config_fingerprint Session.default_config in
-  let key label = Session_store.session_key ~target:"mini" ~seed:(Bytes.of_string label) ~config_fp in
-  let a, b, c = (key "a", key "b", key "c") in
-  Session_store.put_session store a (open_mini (Bytes.of_string "a-seed"));
-  Session_store.put_session store b (open_mini (Bytes.of_string "b-seed"));
-  Alcotest.(check int) "cap not yet exceeded" 0 (Session_store.evictions store);
-  (* touch [a]: it becomes most-recent, so inserting [c] must evict [b] *)
-  Alcotest.(check bool) "a is cached" true
-    (Option.is_some (Session_store.find_session store a));
-  Session_store.put_session store c (open_mini (Bytes.of_string "c-seed"));
-  Alcotest.(check int) "one eviction at cap" 1 (Session_store.evictions store);
-  Alcotest.(check int) "still at cap" 2 (Session_store.size store);
-  Alcotest.(check bool) "b (LRU) was evicted" true
-    (Option.is_none (Session_store.find_session store b));
-  Alcotest.(check bool) "a survived (touched)" true
-    (Option.is_some (Session_store.find_session store a));
-  Alcotest.(check bool) "c survived (newest)" true
-    (Option.is_some (Session_store.find_session store c));
-  (* distinct keys never alias: the config fingerprint is part of the key *)
-  let other_fp =
-    Session.config_fingerprint
-      (Session.with_rng_seed 99 Session.default_config)
-  in
-  Alcotest.(check bool) "config change changes the key" true
-    (Session_store.session_key ~target:"mini" ~seed:(Bytes.of_string "a") ~config_fp
-    <> Session_store.session_key ~target:"mini" ~seed:(Bytes.of_string "a")
-         ~config_fp:other_fp)
-
-let pool_json_with ?config ?store ~jobs () =
-  Telemetry.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.set_enabled false)
-    (fun () ->
-      let pool =
-        Driver.run_pool ?config ?store ~target:"mini" ~jobs (mini_program ())
-          ~seeds:(pool_seeds ()) ~deadline:150_000
-      in
-      ( Report.to_json (Driver.pool_run_report ~meta:[ ("target", "mini") ] pool),
-        pool ))
-
-let test_campaign_cold_vs_warm_identical () =
-  let store = Session_store.create ~registry:(Telemetry.Registry.create ~enabled:true ()) () in
-  let cold, _ = pool_json_with ~store ~jobs:1 () in
-  Alcotest.(check int) "cold run hit nothing" 0 (Session_store.hits store);
-  Alcotest.(check bool) "cold run populated the store" true
-    (Session_store.size store > 0);
-  let warm, _ = pool_json_with ~store ~jobs:1 () in
-  Alcotest.(check string) "warm report byte-identical to cold" cold warm;
-  Alcotest.(check bool) "warm run was served from the store" true
-    (Session_store.hits store > 0);
-  (* jobs is excluded from the campaign fingerprint: any width may reuse
-     any width's campaign (reports are jobs-invariant) *)
-  let hits_before = Session_store.hits store in
-  let warm4, _ = pool_json_with ~store ~jobs:4 () in
-  Alcotest.(check string) "jobs=4 served the same bytes" cold warm4;
-  Alcotest.(check bool) "jobs=4 hit the same memo" true
-    (Session_store.hits store > hits_before);
-  (* a config change misses: no stale campaign can be served *)
-  let config = Session.with_rng_seed 7 Session.default_config in
-  let other, _ = pool_json_with ~config ~store ~jobs:1 () in
-  Alcotest.(check bool) "different config is a different campaign" true
-    (other <> warm)
 
 let test_seedstate_sharing_deterministic () =
   (* two slots over the SAME seed at jobs=1: the first session publishes
@@ -141,9 +66,6 @@ let test_share_prefix_hint_roundtrip () =
 
 let suite =
   [
-    Alcotest.test_case "store LRU eviction order" `Quick test_store_lru_eviction_order;
-    Alcotest.test_case "cold vs warm campaign byte-identical" `Slow
-      test_campaign_cold_vs_warm_identical;
     Alcotest.test_case "seedState sharing deterministic" `Slow
       test_seedstate_sharing_deterministic;
     Alcotest.test_case "share prefix-hint roundtrip" `Quick

@@ -1,8 +1,10 @@
 (* Crash-durability tests: snapshot serialisation (versioned, checksummed,
    byte-stable), checkpoint rotation and fallback, kill-and-resume report
    identity across every pool scheduler and jobs width, injected turn
-   crashes and snapshot corruption, the turn watchdog, and the stable
-   exception-detail normalization the replay contract depends on. *)
+   crashes and snapshot corruption, forged slot ordinals, the turn
+   watchdog, the stable exception-detail normalization the replay
+   contract depends on, and loader robustness against mutated snapshot
+   and store files. *)
 
 module Driver = Pbse.Driver
 module Session = Pbse_session.Session
@@ -12,6 +14,9 @@ module Fault = Pbse_robust.Fault
 module Inject = Pbse_robust.Inject
 module Report = Pbse_telemetry.Report
 module Telemetry = Pbse_telemetry.Telemetry
+module Json = Pbse_telemetry.Json
+module Sealed_file = Pbse_telemetry.Sealed_file
+module Session_store = Pbse_session.Session_store
 
 let mini_program = Suite_core.mini_program
 let pool_seeds = Suite_campaign.pool_seeds
@@ -32,7 +37,6 @@ let sample_snapshot () =
     sn_sched_turns = 9;
     sn_sched_rotations = 3;
     sn_sched_retirements = 1;
-    sn_sched_state = [ ("pos", 2) ];
     sn_pool_faults = [ ("turn-timeout", 1); ("snapshot-corrupt", 0) ];
     sn_opened = [ 1; 3 ];
     sn_counters = [ ("pool.rounds", 3); ("campaign.turns", 9) ];
@@ -386,6 +390,50 @@ let test_resume_pool_shape_mismatch_degrades () =
       Alcotest.(check int) "campaign ran fresh over the new pool" 1
         (List.length pool.Driver.seed_rows))
 
+let test_forged_ordinals_degrade () =
+  (* the checksum is no MAC: anyone can re-seal an edited snapshot. Slot
+     ordinals that name no slot of the pool — in the opened list or on a
+     merged bug — must be recorded as resume mismatches, never index out
+     of bounds *)
+  let path = Filename.temp_file "pbse_forged" ".json" in
+  let ck =
+    Driver.checkpoint ~meta:[ ("target", "mini") ] ~halt_after:1 ~path ~every:1 ()
+  in
+  let _ : Driver.pool_report =
+    Driver.run_pool ~scheduler:"round-robin" ~checkpoint:ck (mini_program ())
+      ~seeds:(pool_seeds ()) ~deadline:150_000
+  in
+  let sn =
+    match Snapshot.load ~path with
+    | Ok sn -> sn
+    | Error e -> Alcotest.fail (Snapshot.error_message e)
+  in
+  let forged edit =
+    match Snapshot.of_string (Snapshot.to_string (edit sn)) with
+    | Ok f -> f
+    | Error e -> Alcotest.fail (Snapshot.error_message e)
+  in
+  List.iter
+    (fun (label, edit) ->
+      match Driver.resume_pool (forged edit) (mini_program ()) ~seeds:(pool_seeds ()) with
+      | Error e -> Alcotest.fail e
+      | Ok pool ->
+        Alcotest.(check bool) (label ^ ": mismatch recorded") true
+          (Fault.count pool.Driver.pool_faults Fault.Resume_mismatch > 0))
+    [
+      ( "opened ordinals",
+        fun sn -> { sn with Snapshot.sn_opened = sn.Snapshot.sn_opened @ [ 99; 0; -3 ] } );
+      ( "bug slot",
+        fun sn ->
+          {
+            sn with
+            Snapshot.sn_bugs =
+              { Snapshot.br_slot = 99; br_gid = 1; br_kind = "oob-read" }
+              :: sn.Snapshot.sn_bugs;
+          } );
+    ];
+  Sys.remove path
+
 let test_injected_snapshot_corruption_is_detected () =
   (* snapshot=1.0 corrupts every checkpoint write on disk; loading must
      fail the checksum on both the primary and its rotation, never crash
@@ -495,6 +543,99 @@ let test_inject_parse_new_channels () =
     Alcotest.(check bool) "snapshot silent at rate 0" false
       (Inject.fire_snapshot_corrupt t)
 
+(* --- loader robustness --------------------------------------------------------- *)
+
+(* A store file as [Session_store.save] writes it. *)
+let sample_store_doc () =
+  let store = Session_store.create ~registry:(Telemetry.Registry.create ()) () in
+  Session_store.put_residue store ~fingerprint:"fp-a" "{\"schema\": \"pbse-report/1\"}";
+  Session_store.put_residue store ~fingerprint:"fp-b" "body b";
+  let path = Filename.temp_file "pbse_fuzz" ".store" in
+  Session_store.save store ~path;
+  let doc = Result.get_ok (Sealed_file.read_file ~path) in
+  Sys.remove path;
+  String.trim doc
+
+let rec json_nodes = function
+  | Json.List items -> List.fold_left (fun n j -> n + json_nodes j) 1 items
+  | Json.Obj kvs -> List.fold_left (fun n (_, j) -> n + json_nodes j) 1 kvs
+  | _ -> 1
+
+(* Snapshots and store files come from outside the process. Mutated by
+   truncation or bit flips, or with payload edits re-sealed under a valid
+   checksum, both loaders must answer [Ok] or [Error] and never raise. *)
+let prop_loaders_never_raise =
+  let open QCheck.Gen in
+  let odd_value =
+    oneofl
+      [
+        Json.Null; Json.Bool true; Json.Int 0; Json.Int (-1); Json.Int 99;
+        Json.Int max_int; Json.Int min_int; Json.Str ""; Json.Str "x";
+        Json.List []; Json.Obj [];
+      ]
+  in
+  (* each payload node, in pre-order, is replaced with probability 1/10 *)
+  let resealed schema doc =
+    let payload = Option.get (Json.member "payload" (Result.get_ok (Json.parse doc))) in
+    map
+      (fun edits ->
+        let edits = Array.of_list edits in
+        let k = ref (-1) in
+        let rec go j =
+          incr k;
+          match edits.(!k) with
+          | 0, v -> v
+          | _ -> (
+            match j with
+            | Json.List items -> Json.List (List.map go items)
+            | Json.Obj kvs -> Json.Obj (List.map (fun (key, x) -> (key, go x)) kvs)
+            | leaf -> leaf)
+        in
+        Sealed_file.seal ~schema (go payload))
+      (list_repeat (json_nodes payload) (pair (int_range 0 9) odd_value))
+  in
+  let damage s =
+    let len = String.length s in
+    oneof
+      [
+        map (fun k -> String.sub s 0 k) (int_range 0 len);
+        map
+          (fun (i, b) ->
+            String.mapi
+              (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
+              s)
+          (pair (int_range 0 (max 0 (len - 1))) (int_range 0 7));
+      ]
+  in
+  let rec damaged n s = if n = 0 then return s else damage s >>= damaged (n - 1) in
+  let case =
+    oneofl
+      [
+        ("snapshot", Snapshot.schema, Snapshot.to_string (sample_snapshot ()));
+        ("store", "pbse-store/1", sample_store_doc ());
+      ]
+    >>= fun (kind, schema, doc) ->
+    map
+      (fun s -> (kind, s))
+      (oneof [ int_range 1 3 >>= (fun n -> damaged n doc); resealed schema doc ])
+  in
+  let path = Filename.temp_file "pbse_fuzz" ".store" in
+  QCheck.Test.make ~count:1000 ~name:"snapshot and store loaders never raise on mutated files"
+    (QCheck.make ~print:(fun (kind, s) -> kind ^ ": " ^ String.escaped s) case)
+    (fun (kind, doc) ->
+      (match kind with
+       | "snapshot" -> (
+         match Snapshot.of_string doc with Ok _ | Error _ -> ())
+       | _ -> (
+         let oc = open_out_bin path in
+         output_string oc doc;
+         close_out oc;
+         let store = Session_store.create ~registry:(Telemetry.Registry.create ()) () in
+         match Session_store.load store ~path with
+         | Ok n -> assert (Session_store.residue_size store = n)
+         | Error _ -> assert (Session_store.residue_size store = 0)));
+      true)
+
 let suite =
   [
     Alcotest.test_case "snapshot roundtrip bytes" `Quick test_snapshot_roundtrip_bytes;
@@ -519,8 +660,10 @@ let suite =
       test_watchdog_flags_overrunning_turns;
     Alcotest.test_case "resume pool-shape mismatch degrades" `Quick
       test_resume_pool_shape_mismatch_degrades;
+    Alcotest.test_case "forged slot ordinals degrade" `Quick test_forged_ordinals_degrade;
     Alcotest.test_case "injected snapshot corruption detected" `Quick
       test_injected_snapshot_corruption_is_detected;
+    QCheck_alcotest.to_alcotest prop_loaders_never_raise;
     Alcotest.test_case "config kvs roundtrip" `Quick test_config_kvs_roundtrip;
     Alcotest.test_case "config kvs unknown/bad keys" `Quick
       test_config_kvs_ignores_unknown_and_rejects_bad;
