@@ -540,11 +540,7 @@ let klee_cmd =
           ~checkpoints:[ deadline ]
       with
       | r ->
-        Printf.printf "searcher %s, sym-%d, %.1fh: %d blocks covered, %d fork(s)\n"
-          searcher sym_size hours
-          (List.assoc deadline r.Klee.checkpoints)
-          r.Klee.forks;
-        List.iter (fun bug -> print_endline ("  " ^ Bug.to_string bug)) r.Klee.bugs;
+        print_string (Klee.summary r ~sym_size ~hours);
         0
       | exception Invalid_argument msg ->
         prerr_endline msg;

@@ -351,10 +351,33 @@ let run_pool ?(config = default_config) ?(scheduler = Pool_scheduler.default)
            Fault.Snapshot_corrupt;
          incr degrade_faults
        | None -> ());
-      (* reposition the injection streams where the original left them *)
-      for _ = 1 to sn.Snapshot.sn_checkpoints do
-        ignore (Inject.fire_snapshot_corrupt pool_inject)
-      done;
+      (* Reposition the injection streams where the original left them,
+         one draw per recorded event. A re-sealed snapshot can claim any
+         count, so each is first held to what the writer's own counters
+         allow: a round starts only while budget remains and either
+         spends a tick or retires a slot (rounds <= deadline + slots);
+         at most one checkpoint is written per round; every granted
+         sub-turn draws once (crash draws = turns), and a round grants a
+         slot at most [lease] sub-turns. A count that breaks them is put
+         on record and not burned. *)
+      let rounds = sn.Snapshot.sn_rounds in
+      let rounds_ok = rounds >= 0 && rounds - nslots <= deadline in
+      let ck = sn.Snapshot.sn_checkpoints in
+      if rounds_ok && ck >= 0 && ck <= rounds then
+        for _ = 1 to ck do
+          ignore (Inject.fire_snapshot_corrupt pool_inject)
+        done
+      else begin
+        mismatch "checkpoints";
+        checkpoints_written := 0
+      end;
+      let draws_ok (st : Snapshot.slot_state) =
+        let turns = st.Snapshot.sl_turns in
+        rounds_ok
+        && st.Snapshot.sl_crash_draws = turns
+        && turns >= 0
+        && (turns = 0 || (turns - 1) / lease < rounds)
+      in
       List.iter2
         (fun (st : Snapshot.slot_state) (slot : Seed_slot.t) ->
           let ordinal = slot.Seed_slot.ordinal in
@@ -368,11 +391,14 @@ let run_pool ?(config = default_config) ?(scheduler = Pool_scheduler.default)
           slot.Seed_slot.timeouts <- st.Snapshot.sl_timeouts;
           slot.Seed_slot.retired <- st.Snapshot.sl_retired;
           opened_caps.(ordinal) <- st.Snapshot.sl_prefix_cap;
-          crash_draws.(ordinal) <- st.Snapshot.sl_crash_draws;
           turn_events.(ordinal) <- List.rev st.Snapshot.sl_events;
-          for _ = 1 to st.Snapshot.sl_crash_draws do
-            ignore (Inject.fire_turn_crash crash_injects.(ordinal))
-          done)
+          if draws_ok st then begin
+            crash_draws.(ordinal) <- st.Snapshot.sl_crash_draws;
+            for _ = 1 to st.Snapshot.sl_crash_draws do
+              ignore (Inject.fire_turn_crash crash_injects.(ordinal))
+            done
+          end
+          else mismatch "crash-draws")
         sn.Snapshot.sn_slots slots;
       (* compatible: the slot states are in ordinal order *)
       let slot_states = Array.of_list sn.Snapshot.sn_slots in

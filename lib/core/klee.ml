@@ -39,3 +39,10 @@ let run ?(rng_seed = 1) ?max_live ?solver_budget ?confirm_bugs prog ~searcher ~i
     forks = (Executor.stats exec).Executor.forks;
     instructions = (Executor.stats exec).Executor.instructions;
   }
+
+let summary r ~sym_size ~hours =
+  let blocks = match List.rev r.checkpoints with (_, b) :: _ -> b | [] -> 0 in
+  String.concat ""
+    (Printf.sprintf "searcher %s, sym-%d, %.1fh: %d blocks covered, %d fork(s)\n" r.searcher
+       sym_size hours blocks r.forks
+    :: List.map (fun bug -> "  " ^ Pbse_exec.Bug.to_string bug ^ "\n") r.bugs)

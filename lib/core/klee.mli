@@ -25,3 +25,7 @@ val run :
     checkpoint passes. [input] is the symbolic file (KLEE's
     [--sym-files 1 N] corresponds to [Bytes.make n '\000']). Raises
     [Invalid_argument] on an unknown searcher name. *)
+
+val summary : result -> sym_size:int -> hours:float -> string
+(** The [pbse klee] output for a run with a single checkpoint: one
+    coverage line, then one line per bug. *)

@@ -21,6 +21,15 @@ type t = {
   fork : parent:State.t -> State.t -> unit;
   remove : State.t -> unit;
   select : unit -> State.t option;
+  touch : State.t -> unit;
+      (** [touch st]: [st], a state this searcher holds, was picked by
+          another searcher sharing the state set and is about to run.
+          The contract every searcher relies on: the engine writes only
+          to the state [select] (or a sibling's select, reported here)
+          last returned, and new states arrive through [add]/[fork].
+          Weighted searchers mark the state's cached weight stale;
+          [interleave] forwards each sub-searcher's pick to the others;
+          the other searchers ignore it. *)
   size : unit -> int;
 }
 

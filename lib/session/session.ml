@@ -233,18 +233,15 @@ let interval_length_for config prog ~seed =
 
 (* The share table a campaign pool threads through every
    [open_session]: seedStates are published under their path-prefix key
-   so identical fork points reached by several seeds are scheduled once,
-   and solver prefix-context residue (arena-free model hints keyed by
-   the structural fingerprint of the path) published into it seeds
-   sessions opened afterwards. Everything behind
-   the mutex is plain ints/lists, so concurrent opens on pool domains
-   are safe; the publication order still depends on turn timing, which
-   is why sharing is config-gated off by default (byte-identity across
-   [--jobs] widths is only contractual with sharing off). *)
+   so identical fork points reached by several seeds are scheduled once.
+   Everything behind the mutex is plain ints, so concurrent opens on
+   pool domains are safe; the publication order still depends on turn
+   timing, which is why sharing is config-gated off by default
+   (byte-identity across [--jobs] widths is only contractual with
+   sharing off). *)
 type share = {
   sh_mutex : Mutex.t;
   sh_seedstates : (int, unit) Hashtbl.t; (* path-prefix key -> published *)
-  sh_hints : (int, (int * int) list) Hashtbl.t; (* prefix fp -> model bytes *)
   mutable sh_published : int;
   mutable sh_hits : int;
 }
@@ -253,24 +250,12 @@ let share_create () =
   {
     sh_mutex = Mutex.create ();
     sh_seedstates = Hashtbl.create 256;
-    sh_hints = Hashtbl.create 256;
     sh_published = 0;
     sh_hits = 0;
   }
 
 let share_stats sh =
   Mutex.protect sh.sh_mutex (fun () -> (sh.sh_published, sh.sh_hits))
-
-let share_publish_hints sh hints =
-  Mutex.protect sh.sh_mutex (fun () ->
-      List.iter
-        (fun (fp, bindings) ->
-          if not (Hashtbl.mem sh.sh_hints fp) then Hashtbl.replace sh.sh_hints fp bindings)
-        hints)
-
-let share_hints sh =
-  Mutex.protect sh.sh_mutex (fun () ->
-      Hashtbl.fold (fun fp bindings acc -> (fp, bindings) :: acc) sh.sh_hints [])
 
 (* Path-prefix key of a seedState: the chronological block-entry trace up
    to its fork point, folded with the fork's global block id. Two seeds
@@ -568,14 +553,6 @@ let open_session ?(config = default_config) ?quarantine ?runtime
       ~subsumption:config.pathcond.subsumption
       ~loop_summaries:config.pathcond.loop_summaries ~registry ~clock prog ~input:seed
   in
-  (* prefix-context residue published by finished sessions: arena-free
-     model hints, installed before any query is issued *)
-  (match share with
-   | Some sh when config.search.share_seed_states -> (
-     match share_hints sh with
-     | [] -> ()
-     | hints -> Solver.import_prefix_hints (Executor.solver exec) hints)
-   | _ -> ());
   (* every stochastic choice below (k-means restarts, searcher splits)
      derives from the runtime's RNG, itself seeded from config.rng_seed *)
   let rng = rt.Runtime.rng in
@@ -737,8 +714,6 @@ let record_crash s ~detail =
   Vclock.advance s.s_clock 1;
   Fault.record (Executor.faults s.s_exec) ~detail ~vtime:(Vclock.now s.s_clock)
     Fault.Exec_exception
-
-let export_prefix_hints s = Solver.export_prefix_hints (Executor.solver s.s_exec)
 
 let finish_session s =
   let bugs =

@@ -144,13 +144,8 @@ type share
     campaign): seedStates are published under their path-prefix key —
     the chronological block-entry trace up to the fork point, folded
     with the fork's global block id — so identical fork points reached
-    by several seeds are scheduled once campaign-wide. The share also
-    holds solver prefix-context residue (arena-free model hints keyed by
-    the structural fingerprint of the path,
-    {!Pbse_smt.Prefix_ctx.export}) that {!open_session} imports; the
-    campaign driver publishes none, since a per-campaign share has no
-    later session to seed. All mutation is mutex-guarded; safe to share
-    across pool domains. *)
+    by several seeds are scheduled once campaign-wide. All mutation is
+    mutex-guarded; safe to share across pool domains. *)
 
 val share_create : unit -> share
 
@@ -158,14 +153,6 @@ val share_stats : share -> int * int
 (** [(published, hits)] — fork points published first by some session,
     and seedStates dropped because their fork point was already
     published. *)
-
-val share_publish_hints : share -> (int * (int * int) list) list -> unit
-(** Merge exported prefix-context model hints
-    ({!Pbse_smt.Solver.export_prefix_hints}) into the share; first
-    writer per fingerprint wins. *)
-
-val share_hints : share -> (int * (int * int) list) list
-(** Current hint residue, for {!Pbse_smt.Solver.import_prefix_hints}. *)
 
 (** {1 Single runs} *)
 
@@ -251,8 +238,7 @@ val open_session :
     the pool registry once for the whole campaign. [share], consulted
     only when [config.search.share_seed_states] is on, drops seedStates
     whose path-prefix key another session already published (counted in
-    the [session.seedstate_shared_hits] registry counter) and imports
-    the share's solver prefix hints before the concolic step. *)
+    the [session.seedstate_shared_hits] registry counter). *)
 
 val step_session : t -> deadline:int -> unit
 (** Phase-scheduled symbolic execution until [deadline] on the
@@ -289,11 +275,6 @@ val session_seed : t -> bytes
 val session_bug_phase : t -> Pbse_exec.Bug.t -> int
 (** 1-based ordinal of the phase whose turn first surfaced this bug's
     dedup key; 0 when unknown (found by the concolic step). *)
-
-val export_prefix_hints : t -> (int * (int * int) list) list
-(** The session solver's prefix-context residue
-    ({!Pbse_smt.Solver.export_prefix_hints}), for
-    {!share_publish_hints}. *)
 
 val finish_session : t -> report
 (** Assemble the run report from the session's current state. The

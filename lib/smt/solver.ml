@@ -290,5 +290,3 @@ let sat t ?hint exprs =
   | Sat _, _ -> true
   | (Unsat | Unknown), _ -> false
 
-let export_prefix_hints t = Prefix_ctx.export t.prefixes
-let import_prefix_hints t hints = Prefix_ctx.import t.prefixes hints

@@ -112,13 +112,3 @@ val sat : t -> ?hint:Model.t -> Expr.t list -> bool
 
 val clear_cache : t -> unit
 
-val export_prefix_hints : t -> (int * (int * int) list) list
-(** Arena-free prefix-context residue — [(structural path fingerprint,
-    witness-model bindings)] pairs ({!Prefix_ctx.export}) — for carrying
-    solver facts across sessions. *)
-
-val import_prefix_hints : t -> (int * (int * int) list) list -> unit
-(** Install residue exported from another solver as prefix-model hints
-    ({!Prefix_ctx.import}): a newly indexed prefix whose structural
-    fingerprint matches starts with the exporter's witness, subject to a
-    satisfiability check against its own path. *)

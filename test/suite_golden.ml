@@ -46,8 +46,30 @@ let test_reports_match_goldens () =
       Alcotest.(check string) (name ^ " report") expected (report_json t))
     Registry.all
 
+(* The standalone searchers the golden reports above never reach (the
+   pbSE path runs only [default]): `pbse klee dwarfdump --hours 1
+   --searcher S` output, checked in as golden/klee-dwarfdump-S.txt. *)
+let test_klee_outputs_match_goldens () =
+  let t = Option.get (Registry.by_name "dwarfdump") in
+  List.iter
+    (fun searcher ->
+      let r =
+        Pbse.Klee.run (Registry.program t) ~searcher ~input:(Bytes.make 100 '\000')
+          ~checkpoints:[ deadline ]
+      in
+      let expected =
+        In_channel.with_open_bin
+          (Filename.concat "golden" ("klee-dwarfdump-" ^ searcher ^ ".txt"))
+          In_channel.input_all
+      in
+      Alcotest.(check string) (searcher ^ " output") expected
+        (Pbse.Klee.summary r ~sym_size:100 ~hours:1.0))
+    [ "covnew"; "md2u"; "random-path" ]
+
 let suite =
   [
     Alcotest.test_case "hour-1 reports byte-identical to goldens" `Slow
       test_reports_match_goldens;
+    Alcotest.test_case "hour-1 klee searcher outputs match goldens" `Slow
+      test_klee_outputs_match_goldens;
   ]

@@ -1,5 +1,5 @@
 (* Session-layer tests: determinism of cross-seed seedState sharing
-   within one campaign, and the share's prefix-hint table. *)
+   within one campaign. *)
 
 module Driver = Pbse.Driver
 module Session = Pbse_session.Session
@@ -51,23 +51,8 @@ let test_seedstate_sharing_deterministic () =
   Alcotest.(check bool) "session.seedstate_shared_hits > 0" true
     (counter_total shared.Driver.pool_registry > 0)
 
-let test_share_prefix_hint_roundtrip () =
-  (* hint residue exported from a finished session imports into the
-     share and round-trips: first writer per fingerprint wins *)
-  let share = Session.share_create () in
-  Session.share_publish_hints share [ (42, [ (0, 7); (3, 1) ]); (9, []) ];
-  Session.share_publish_hints share [ (42, [ (0, 99) ]); (10, [ (1, 2) ]) ];
-  let hints = List.sort compare (Session.share_hints share) in
-  Alcotest.(check int) "three fingerprints" 3 (List.length hints);
-  Alcotest.(check bool) "first writer wins for fp 42" true
-    (List.assoc 42 hints = [ (0, 7); (3, 1) ]);
-  Alcotest.(check bool) "published/hit stats start at zero" true
-    (Session.share_stats share = (0, 0))
-
 let suite =
   [
     Alcotest.test_case "seedState sharing deterministic" `Slow
       test_seedstate_sharing_deterministic;
-    Alcotest.test_case "share prefix-hint roundtrip" `Quick
-      test_share_prefix_hint_roundtrip;
   ]

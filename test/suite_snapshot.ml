@@ -434,6 +434,68 @@ let test_forged_ordinals_degrade () =
     ];
   Sys.remove path
 
+let test_forged_burn_counts_degrade () =
+  (* resume re-burns one injection draw per recorded checkpoint write
+     and per granted turn; counts a re-sealed snapshot inflates past what
+     its own rounds and turns allow must be recorded as mismatches and
+     not burned — near max_int the burn loops would never return *)
+  let path = Filename.temp_file "pbse_burn" ".json" in
+  let ck =
+    Driver.checkpoint ~meta:[ ("target", "mini") ] ~halt_after:2 ~path ~every:1 ()
+  in
+  let _ : Driver.pool_report =
+    Driver.run_pool ~scheduler:"round-robin" ~checkpoint:ck (mini_program ())
+      ~seeds:(pool_seeds ()) ~deadline:150_000
+  in
+  let sn =
+    match Snapshot.load ~path with
+    | Ok sn -> sn
+    | Error e -> Alcotest.fail (Snapshot.error_message e)
+  in
+  Sys.remove path;
+  let mismatches edit =
+    let forged =
+      match Snapshot.of_string (Snapshot.to_string (edit sn)) with
+      | Ok f -> f
+      | Error e -> Alcotest.fail (Snapshot.error_message e)
+    in
+    let t0 = Sys.time () in
+    match Driver.resume_pool forged (mini_program ()) ~seeds:(pool_seeds ()) with
+    | Error e -> Alcotest.fail e
+    | Ok pool ->
+      Alcotest.(check bool) "resumed promptly" true (Sys.time () -. t0 < 20.0);
+      List.filter_map
+        (fun (f : Fault.t) ->
+          if f.Fault.kind = Fault.Resume_mismatch then Some f.Fault.detail else None)
+        (Fault.recent pool.Driver.pool_faults)
+  in
+  Alcotest.(check (list string)) "a genuine snapshot burns cleanly" []
+    (mismatches Fun.id);
+  Alcotest.(check (list string)) "inflated checkpoint count" [ "checkpoints" ]
+    (mismatches (fun sn -> { sn with Snapshot.sn_checkpoints = max_int }));
+  Alcotest.(check (list string)) "inflated crash draws" [ "crash-draws" ]
+    (mismatches (fun sn ->
+         {
+           sn with
+           Snapshot.sn_slots =
+             List.mapi
+               (fun i (st : Snapshot.slot_state) ->
+                 if i = 0 then { st with Snapshot.sl_crash_draws = max_int } else st)
+               sn.Snapshot.sn_slots;
+         }));
+  Alcotest.(check (list string)) "inflated turns and draws together" [ "crash-draws" ]
+    (mismatches (fun sn ->
+         {
+           sn with
+           Snapshot.sn_slots =
+             List.mapi
+               (fun i (st : Snapshot.slot_state) ->
+                 if i = 0 then
+                   { st with Snapshot.sl_crash_draws = max_int; sl_turns = max_int }
+                 else st)
+               sn.Snapshot.sn_slots;
+         }))
+
 let test_injected_snapshot_corruption_is_detected () =
   (* snapshot=1.0 corrupts every checkpoint write on disk; loading must
      fail the checksum on both the primary and its rotation, never crash
@@ -661,6 +723,7 @@ let suite =
     Alcotest.test_case "resume pool-shape mismatch degrades" `Quick
       test_resume_pool_shape_mismatch_degrades;
     Alcotest.test_case "forged slot ordinals degrade" `Quick test_forged_ordinals_degrade;
+    Alcotest.test_case "forged burn counts degrade" `Quick test_forged_burn_counts_degrade;
     Alcotest.test_case "injected snapshot corruption detected" `Quick
       test_injected_snapshot_corruption_is_detected;
     QCheck_alcotest.to_alcotest prop_loaders_never_raise;
